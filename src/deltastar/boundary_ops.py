@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dist_core import (
-    PiecewiseDist,
     Scalar,
     as_point,
     as_scalar,
@@ -46,7 +45,8 @@ class PreconditionError(ValueError):
     """An operation was applied outside its stated domain."""
 
 
-_ZERO4 = (Scalar(0),) * 4
+_ZERO = Scalar(0)
+_ZERO4 = (_ZERO,) * 4
 
 
 def _row(entries):
@@ -133,15 +133,7 @@ def apply_shifting_delta(sd, jet):
     """
     if sd.point != 0:
         raise PreconditionError("jets carry data at the origin only")
-    if sd.order > 1:
-        raise PreconditionError(
-            "order-%d action needs derivatives beyond the jet" % sd.order
-        )
-    value = jet.psi_minus if sd.side == "left" else jet.psi_plus
-    slope = jet.dpsi_minus if sd.side == "left" else jet.dpsi_plus
-    if sd.order == 0:
-        return DeltaCombo(value, Scalar(0))
-    return DeltaCombo(-slope, value)
+    return sided_delta_op(sd.side, sd.order).apply(jet)
 
 
 def apply_shifting_delta_dist(sd, F):
@@ -238,21 +230,24 @@ class JetOperator:
         return JetOperator(_ZERO4, self.row_delta)
 
 
+def _combo_op(coeffs):
+    """c1*(left delta) + c2*(right delta) + b1*(left delta')
+    + b2*(right delta') as a JetOperator: the one place the four
+    sided-delta actions are encoded."""
+    c1, c2, b1, b2 = coeffs
+    return JetOperator((c1, c2, -b1, -b2), (b1, b2, _ZERO, _ZERO))
+
+
 def sided_delta_op(side, order):
     """JetOperator form of a sided delta at the origin (order 0 or 1)."""
-    return _jet_op_of(SidedDelta(side, order))
-
-
-def _jet_op_of(sd):
-    if sd.order == 0:
-        if sd.side == "left":
-            return JetOperator((1, 0, 0, 0), _ZERO4)
-        return JetOperator((0, 1, 0, 0), _ZERO4)
-    if sd.order == 1:
-        if sd.side == "left":
-            return JetOperator((0, 0, -1, 0), (1, 0, 0, 0))
-        return JetOperator((0, 0, 0, -1), (0, 1, 0, 0))
-    raise PreconditionError("jet operators stop at order 1")
+    sd = SidedDelta(side, order)  # validates side and order
+    if sd.order > 1:
+        raise PreconditionError(
+            "order-%d action needs derivatives beyond the jet" % sd.order
+        )
+    unit = [0, 0, 0, 0]
+    unit[2 * sd.order + (sd.side == "right")] = 1
+    return _combo_op(unit)
 
 
 def delta_diff(order):
@@ -260,9 +255,10 @@ def delta_diff(order):
     return sided_delta_op("right", order) - sided_delta_op("left", order)
 
 
-def delta_sum(order):
-    """right plus left sided delta: samples twice the mean across 0."""
-    return sided_delta_op("right", order) + sided_delta_op("left", order)
+_JUMP = delta_diff(0)
+# minus the free part 2 (jump o D) + delta' jump left by integrating
+# -psi'' by parts, negated once so that a spec's rows cost additions only
+_MINUS_FREE_PART = -(2 * _JUMP.precompose_derivative() + delta_diff(1))
 
 
 # --------------------------------------------------------------------------
@@ -334,19 +330,6 @@ class DeltaPrimeFamily:
             object.__setattr__(self, name, as_scalar(getattr(self, name)))
 
 
-def _combo_op(coeffs):
-    out = JetOperator()
-    bases = (
-        sided_delta_op("left", 0),
-        sided_delta_op("right", 0),
-        sided_delta_op("left", 1),
-        sided_delta_op("right", 1),
-    )
-    for c, base in zip(coeffs, bases):
-        out = out + c * base
-    return out
-
-
 def to_jet_operator(spec):
     """The perturbation itself as a map on jets."""
     if isinstance(spec, PointPotential):
@@ -362,10 +345,9 @@ def to_jet_operator(spec):
         return out
     if isinstance(spec, DeltaPrimeFamily):
         return (
-            spec.c * sided_delta_op("right", 1)
-            + spec.d * sided_delta_op("left", 1)
-            + spec.e * delta_diff(0).postcompose_derivative()
-            + spec.f * delta_diff(0).precompose_derivative()
+            _combo_op((0, 0, spec.d, spec.c))
+            + spec.e * _JUMP.postcompose_derivative()
+            + spec.f * _JUMP.precompose_derivative()
         )
     raise TypeError("unknown operator spec %r" % (spec,))
 
@@ -385,8 +367,7 @@ def constraint_operator(spec):
     whose delta and delta' coefficients must both vanish for psi to be in
     the domain.
     """
-    free_part = 2 * delta_diff(0).precompose_derivative() + delta_diff(1)
-    return to_jet_operator(spec) - free_part
+    return to_jet_operator(spec) + _MINUS_FREE_PART
 
 
 def constraint_rows(spec):

@@ -46,7 +46,9 @@ from .dist_core import (
     PiecewiseDist,
     Poly,
     Scalar,
+    _rat_token,
     constant,
+    degree_cap,
     delta_dist,
     derivative,
     heaviside,
@@ -269,11 +271,15 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             sign = -1 if self.next()[0] == "-" else 1
             self.poly_term(coeffs, sign)
-        top = max(coeffs) if coeffs else 0
-        try:
-            return Poly([coeffs.get(j, Scalar(0)) for j in range(top + 1)])
-        except AlgebraError as exc:
-            raise ExprError(str(exc), self.peek()[2]) from exc
+        # the cap is checked before the dense coefficient list is built,
+        # which for x^100000000 would not finish
+        top = max((j for j, c in coeffs.items() if not c.is_zero), default=-1)
+        if top > degree_cap():
+            raise ExprError(
+                "polynomial degree %d exceeds cap %d" % (top, degree_cap()),
+                self.peek()[2],
+            )
+        return Poly([coeffs.get(j, Scalar(0)) for j in range(top + 1)])
 
     def poly_term(self, coeffs, sign):
         tok = self.peek()
@@ -325,7 +331,10 @@ def parse_dist(text, n_cap=None):
     regularity index of the result.
     """
     p = _Parser(text, n_cap)
-    out = p.expr()
+    try:
+        out = p.expr()
+    except RecursionError:
+        raise ExprError("nested too deeply", p.peek()[2]) from None
     tok = p.peek()
     if tok[0] != "end":
         p.fail(tok, {"+", "-", "*", "end of input"})
@@ -351,23 +360,16 @@ def parse_poly(text):
 # formatting
 
 
-def _rat(q):
-    return str(q.numerator) if q.denominator == 1 else "%d/%d" % (
-        q.numerator,
-        q.denominator,
-    )
-
-
 def _coeff_terms(coeff, body):
     """Split a complex coefficient on a symbolic body into signed terms."""
     out = []
     if coeff.re:
         mag = abs(coeff.re)
-        prefix = "" if mag == 1 else _rat(mag) + "*"
-        out.append((-1 if coeff.re < 0 else 1, prefix + body if body else _rat(mag)))
+        prefix = "" if mag == 1 else _rat_token(mag) + "*"
+        out.append((-1 if coeff.re < 0 else 1, prefix + body if body else _rat_token(mag)))
     if coeff.im:
         mag = abs(coeff.im)
-        prefix = "i*" if mag == 1 else _rat(mag) + "i*"
+        prefix = "i*" if mag == 1 else _rat_token(mag) + "i*"
         out.append(
             (-1 if coeff.im < 0 else 1, prefix + body if body else prefix[:-1])
         )
@@ -403,7 +405,7 @@ def _delta_atom(point, order):
         name = "delta'"
     else:
         name = "delta^%d" % order
-    return "%s(%s)" % (name, _rat(point))
+    return "%s(%s)" % (name, _rat_token(point))
 
 
 def format_dist(F):
@@ -416,8 +418,8 @@ def format_dist(F):
     for k, piece in enumerate(F.pieces):
         if piece.is_zero:
             continue
-        lo = "-inf" if k == 0 else _rat(F.breakpoints[k - 1])
-        hi = "inf" if k == len(F.breakpoints) else _rat(F.breakpoints[k])
+        lo = "-inf" if k == 0 else _rat_token(F.breakpoints[k - 1])
+        hi = "inf" if k == len(F.breakpoints) else _rat_token(F.breakpoints[k])
         parts.append((1, "piece(%s,%s: %s)" % (lo, hi, _poly_text(piece))))
     return _join_terms(parts)
 
@@ -437,11 +439,11 @@ def encode(obj):
     if isinstance(obj, PiecewiseDist):
         lines.append("dist")
         lines.append("n %d" % obj.n)
-        lines.append(("breakpoints " + " ".join(_rat(b) for b in obj.breakpoints)).rstrip())
+        lines.append(("breakpoints " + " ".join(_rat_token(b) for b in obj.breakpoints)).rstrip())
         for p in obj.pieces:
             lines.append(("piece " + " ".join(_tok(c) for c in p.coeffs)).rstrip())
         for d in obj.deltas:
-            lines.append("delta %s %d %s" % (_rat(d.point), d.order, _tok(d.coeff)))
+            lines.append("delta %s %d %s" % (_rat_token(d.point), d.order, _tok(d.coeff)))
     elif isinstance(obj, PointPotential):
         lines.append("opspec potential")
         for name in ("c1", "c2", "b1", "b2"):

@@ -7,8 +7,8 @@ the operator's domain out of the maximal one.  Conditions are compared as
 row spaces (exact reduced row echelon form), since two sets of conditions
 with the same kernel describe the same operator.
 
-``classify`` decides, exactly, whether a plain point potential gives a
-self-adjoint operator and of which kind:
+``classify`` decides, exactly and from the rows alone, whether an
+operator spec gives a self-adjoint operator and of which kind:
 
   * InteractingSA(a, b, c): conditions couple the two half-lines,
 
@@ -30,6 +30,7 @@ that realize them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .boundary_ops import (
     DeltaPrimeFamily,
@@ -115,6 +116,32 @@ class BCMatrix:
 
     def __hash__(self):
         return hash(self.reduced())
+
+    @property
+    def self_adjoint(self):
+        """Kostrykin-Schrader criterion (J. Phys. A 32 (1999) 595).
+
+        Writing the conditions as A (p, q) + B (r, -s) = 0, they give a
+        self-adjoint operator iff rank [A|B] = 2 and A B* is Hermitian.
+        Both tests are invariant under row operations, so any two rows
+        spanning the conditions will do; the rank is read off the 2x2
+        minors.
+        """
+        rows = self.rows if len(self.rows) == 2 else self.reduced()
+        if len(rows) != 2:
+            return False
+        if all(
+            (x1 * y2 - x2 * y1).is_zero
+            for (x1, x2), (y1, y2) in combinations(zip(*rows), 2)
+        ):
+            return False
+        b_conj = [(row[2].conjugate(), row[3].conjugate()) for row in rows]
+        ab = [[p * r - q * s for r, s in b_conj] for p, q, _, _ in rows]
+        return (
+            ab[0][0].is_real
+            and ab[1][1].is_real
+            and ab[0][1] == ab[1][0].conjugate()
+        )
 
     def kernel_basis(self):
         """Jets satisfying the conditions, one 4-tuple per free column."""
@@ -207,46 +234,44 @@ def separating_sa(a_minus, b_minus, a_plus, b_plus):
 
 
 def classify(spec):
-    """Exact self-adjointness classification of a plain point potential.
+    """Exact self-adjointness classification of any operator spec.
 
-    Returns InteractingSA, SeparatingSA or NotSelfAdjoint.  Only
-    PointPotential specs are accepted.
+    Reads the boundary-condition rows: NotSelfAdjoint when they fail the
+    Kostrykin-Schrader criterion, SeparatingSA when their reduced rows
+    split into a left-only row (., 0, ., 0) and a right-only row
+    (0, ., 0, .), and otherwise InteractingSA(a, b, c), read off by
+    solving for the jumps w = q - p and d = s - r in terms of the sums
+    u = p + q and m = r + s:
+
+        w = conj(b) u + a m,        d = c u - b m.
+
+    Self-adjoint coupling conditions that do not determine the jumps from
+    the sums (theta = -1, DeltaPrimeFamily(c, c, 1, 1), is one) have no
+    InteractingSA form and raise PreconditionError.
     """
-    if not isinstance(spec, PointPotential):
+    bc = extract_bc(spec)
+    if not bc.self_adjoint:
+        return NotSelfAdjoint(bc)
+    rows = bc.reduced()
+    left = [r for r in rows if r[1].is_zero and r[3].is_zero]
+    right = [r for r in rows if r[0].is_zero and r[2].is_zero]
+    if left and right:
+        (p, _, r, _), (_, q, _, s) = left[0], right[0]
+        return separating_sa(r, -p, s, -q)
+    # row . (p, q, r, s) = (j . (w, d) + k . (u, m)) / 2
+    j1, j2 = [(row[1] - row[0], row[3] - row[2]) for row in rows]
+    k1, k2 = [(row[0] + row[1], row[2] + row[3]) for row in rows]
+    det = j1[0] * j2[1] - j1[1] * j2[0]
+    if det.is_zero:
         raise PreconditionError(
-            "classification works on plain point potentials"
+            "the conditions do not fix the jumps from the sums: "
+            "no InteractingSA form"
         )
-    c1, c2, b1, b2 = spec.c1, spec.c2, spec.b1, spec.b2
-    not_unit = b1 != _ONE and b1 != -_ONE
-
-    if not_unit and b1 == b2.conjugate():
-        bb = b1.conjugate()
-        den = (bb - b1) * (bb - b1) - 4
-        c = (2 * c1 * (bb - _ONE) - 2 * c2 * (b1 + _ONE)) / den
-        if c.is_real:
-            return InteractingSA(_ZERO, (b1 + bb) / (bb - b1 + 2), c)
-        return NotSelfAdjoint(extract_bc(spec))
-
-    if not_unit and b2 == -b1:
-        c = (c1 + c2) / (2 * (_ONE - b1))
-        if c.is_real:
-            return InteractingSA(_ZERO, _ZERO, c)
-        return NotSelfAdjoint(extract_bc(spec))
-
-    if b1 == _ONE and b2 == _ONE:
-        if c2.is_real:
-            return SeparatingSA(_ZERO, _ONE, _ONE, c2 / 2)
-        return NotSelfAdjoint(extract_bc(spec))
-
-    if b1 == -_ONE and b2 == -_ONE:
-        if c1.is_real:
-            return SeparatingSA(_ONE, -c1 / 2, _ZERO, _ONE)
-        return NotSelfAdjoint(extract_bc(spec))
-
-    if b1 == _ONE and b2 == -_ONE and not (c1 + c2).is_zero:
-        return SeparatingSA(_ZERO, _ONE, _ZERO, _ONE)
-
-    return NotSelfAdjoint(extract_bc(spec))
+    return InteractingSA(
+        (j1[1] * k2[1] - j2[1] * k1[1]) / det,
+        (j1[0] * k2[1] - j2[0] * k1[1]) / det,
+        (j2[0] * k1[0] - j1[0] * k2[0]) / det,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -568,48 +593,24 @@ def boundary_form_raw(psi, phi):
     )
 
 
-def _potential_form_coeffs(spec):
-    c1, c2, b1, b2 = spec.c1, spec.c2, spec.b1, spec.b2
-    kind = classify(spec)
-    if isinstance(kind, NotSelfAdjoint):
-        raise PreconditionError(
-            "the boundary form is only defined for self-adjoint conditions"
-        )
-    if isinstance(kind, InteractingSA):
-        if b1 == b2.conjugate() and b1 != _ONE and b1 != -_ONE:
-            return c1 / (_ONE - b1), c2 / (_ONE + b1.conjugate())
-        return c1 / (_ONE - b1), c2 / (_ONE - b1)
-    if b1 == _ONE and b2 == _ONE:
-        return _ZERO, c2 / 2
-    if b1 == -_ONE and b2 == -_ONE:
-        return c1 / 2, _ZERO
-    return _ZERO, _ZERO  # double Dirichlet
-
-
 def sesquilinear_form(spec_or_classification, psi, phi):
     """Boundary part of the operator's sesquilinear form on jets.
 
-    Accepts a PointPotential or a self-adjoint classification; on jets
-    satisfying the boundary conditions it agrees with boundary_form_raw.
+    Accepts any operator spec, or a self-adjoint classification standing
+    for the PseudoPotential that realizes its conditions.  Defined only
+    for self-adjoint conditions; on jets satisfying them the form is the
+    boundary term boundary_form_raw.
     """
     x = spec_or_classification
     if isinstance(x, InteractingSA):
-        if not x.a.is_zero:
-            raise PreconditionError(
-                "no potential realization exists when a != 0"
-            )
-        x = represent_interacting(x.a, x.b, x.c).default()
+        x = interacting_pseudo(x.a, x.b, x.c)
     elif isinstance(x, SeparatingSA):
-        x = represent_separating(
-            x.a_minus, x.b_minus, x.a_plus, x.b_plus
-        ).default()
-    if not isinstance(x, PointPotential):
-        raise TypeError("expected a point potential or a classification")
-    A, B = _potential_form_coeffs(x)
-    return (
-        A * phi.psi_minus.conjugate() * psi.psi_minus
-        + B * phi.psi_plus.conjugate() * psi.psi_plus
-    )
+        x = separating_pseudo(x.a_minus, x.b_minus, x.a_plus, x.b_plus)
+    if not extract_bc(x).self_adjoint:
+        raise PreconditionError(
+            "the boundary form is only defined for self-adjoint conditions"
+        )
+    return boundary_form_raw(psi, phi)
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Everything takes an explicit random.Random so each test controls its own
 seed; coefficients are exact rationals (optionally with an imaginary
-part) so all comparisons downstream stay exact.  The one float helper,
-``even_ground_state``, is a reference that shares no code with the grid
-Hamiltonian it is compared against.
+part) so all comparisons downstream stay exact.  Two helpers are
+references sharing no code with what they check: ``self_adjoint_by_definition``
+for ``classify``, and the float ``even_ground_state`` for the grid
+Hamiltonian.
 """
 
 import math
@@ -15,6 +16,7 @@ from scipy.optimize import brentq
 
 from deltastar import DeltaTerm, PiecewiseDist, Poly, Scalar
 from deltastar.boundary_ops import BoundaryJet
+from deltastar.schrodinger import boundary_form_raw
 
 
 def rand_frac(rng, span=3, dens=(1, 2, 3, 4)):
@@ -60,6 +62,25 @@ def rand_jet(rng, span=4):
 
 def jet_from_vector(v):
     return BoundaryJet(v[0], v[1], v[2], v[3])
+
+
+def self_adjoint_by_definition(bc):
+    """Self-adjointness of boundary conditions, straight from the definition.
+
+    The conditions cut out a self-adjoint restriction of the maximal
+    operator exactly when they are two independent rows (half of the
+    four boundary values) and the Lagrange boundary term vanishes on the
+    domain they leave, i.e. boundary_form_raw is Hermitian there.  It is
+    checked on kernel_basis(), which spans that domain.
+    """
+    if bc.rank != 2:
+        return False
+    basis = [jet_from_vector(v) for v in bc.kernel_basis()]
+    return all(
+        boundary_form_raw(u, v) == boundary_form_raw(v, u).conjugate()
+        for u in basis
+        for v in basis
+    )
 
 
 def even_ground_state(potential, a):

@@ -48,6 +48,13 @@ def test_product_regularity_cap_exits_2(capsys):
     assert rc == 2
 
 
+def test_product_hostile_inputs_exit_2(capsys):
+    for expr in ("piece(0,1: x^100000000)", "(" * 3000 + "1" + ")" * 3000):
+        rc, out, err = run(capsys, "product", expr)
+        assert rc == 2
+        assert err.startswith("parse error:") and out == ""
+
+
 def test_classify_delta_well(capsys):
     payload = run_json(capsys, "classify", "--c1", "-1", "--c2", "-1")
     assert payload["kind"] == "interacting"

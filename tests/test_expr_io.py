@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import deltastar
 from deltastar import (
     Poly,
     Scalar,
@@ -95,6 +99,34 @@ def test_regularity_cap():
     assert parse_dist("delta'(0)", n_cap=1) == delta_dist(0, 1, 1, n=1)
     with pytest.raises(ExprError):
         parse_dist("delta^2(0)", n_cap=1)
+
+
+def test_huge_exponent_rejected_before_expansion():
+    # parsed in a child process: code that expanded the exponent into a
+    # dense list would hang and fill memory, and is killed at the bound
+    code = (
+        "from deltastar.expr_io import ExprError, parse_dist, parse_poly\n"
+        "for parse, text in ((parse_dist, 'piece(0,1: x^100000000)'),\n"
+        "                    (parse_poly, 'x^100000000')):\n"
+        "    try:\n"
+        "        parse(text)\n"
+        "    except ExprError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(deltastar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("exceeds cap") == 2
+    assert parse_poly("x^9 - x^9").is_zero  # only nonzero terms count
+
+
+def test_deep_nesting_is_a_parse_error():
+    for text in ("(" * 3000 + "1" + ")" * 3000, "D(" * 3000 + "delta(0)" + ")" * 3000):
+        with pytest.raises(ExprError, match="nested too deeply"):
+            parse_dist(text)
+    assert parse_dist("(" * 50 + "delta(0)" + ")" * 50) == delta_dist(0, 0)
 
 
 def test_codec_dist_round_trip_randomized():

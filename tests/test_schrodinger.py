@@ -25,17 +25,25 @@ from deltastar.schrodinger import (
     delta_well,
     dirichlet_specs,
     extract_bc,
+    interacting_pseudo,
     match_continuity_jump,
     match_theta_jump,
     normalize_side,
     represent_from_bc,
     represent_interacting,
     represent_separating,
+    separating_pseudo,
     separating_sa,
     sesquilinear_form,
     unconstrained_spec,
 )
-from helpers import jet_from_vector, rand_frac, rand_jet, rand_scalar
+from helpers import (
+    jet_from_vector,
+    rand_frac,
+    rand_jet,
+    rand_scalar,
+    self_adjoint_by_definition,
+)
 
 
 def rand_real_nonunit(rng):
@@ -83,9 +91,83 @@ def test_classify_not_self_adjoint():
     assert isinstance(classify(PointPotential(0, 0, "1i", "1i")), NotSelfAdjoint)
 
 
-def test_classify_rejects_pseudo():
+def test_classify_reads_any_spec():
+    k = classify(unconstrained_spec())
+    assert isinstance(k, NotSelfAdjoint) and k.bc.rank == 0
+    nn = represent_from_bc((0, 0, 1, 0), (0, 0, 0, 1))  # Neumann-Neumann
+    assert classify(nn) == SeparatingSA(1, 0, 1, 0)
+    assert classify(interacting_pseudo(1, 0, 0)) == InteractingSA(1, 0, 0)
     with pytest.raises(PreconditionError):
-        classify(unconstrained_spec())
+        classify(DeltaPrimeFamily(1, 1, 1, 1))  # theta = -1: no jump form
+
+
+def classification_rows(k):
+    """The documented conditions of a self-adjoint classification."""
+    if isinstance(k, InteractingSA):
+        bb = k.b.conjugate()
+        return BCMatrix([[-k.c, -k.c, k.b - 1, k.b + 1],
+                         [bb + 1, bb - 1, k.a, k.a]])
+    return BCMatrix([[-k.b_minus, 0, k.a_minus, 0],
+                     [0, -k.b_plus, 0, k.a_plus]])
+
+
+def oracle_corpus():
+    """Seeded specs of every kind, with self-adjoint cases of each."""
+    rng = random.Random(612)
+    slopes = [Scalar(x) for x in (1, -1, 0, Fraction(1, 3), -2)] + [Scalar(1, 1)]
+
+    def small():
+        return rng.choice((-1, 0, 1, 2, Fraction(1, 2)))
+
+    specs = [PointPotential(0, 3, -1, -1)]  # Neumann-Dirichlet: right row first
+    for _ in range(60):
+        b1 = rng.choice(slopes)
+        b2 = rng.choice((b1, -b1, b1.conjugate(), rng.choice(slopes)))
+        c1 = rand_scalar(rng, imag_rate=0.15)
+        c2 = rng.choice((c1, -c1, rand_scalar(rng, imag_rate=0.15)))
+        specs.append(PointPotential(c1, c2, b1, b2))
+    for _ in range(30):
+        a, c = rand_frac(rng), rand_frac(rng)
+        if rng.random() < 0.3:
+            a = Scalar(a, 1)  # a complex a breaks self-adjointness
+        specs.append(interacting_pseudo(a, rand_scalar(rng), c))
+        am, bm = rng.choice((0, 1, 2)), rand_frac(rng)
+        ap, bp = rng.choice((0, 1)), rand_frac(rng)
+        if (am or bm) and (ap or bp):
+            specs.append(separating_pseudo(am, bm, ap, bp))
+    for _ in range(30):
+        specs.append(PseudoPotential(
+            [rand_scalar(rng) for _ in range(4)],
+            [rand_scalar(rng), rand_scalar(rng), 0, 0],
+            [rand_scalar(rng), rand_scalar(rng), 0, 0],
+        ))
+    for _ in range(80):
+        specs.append(DeltaPrimeFamily(small(), small(), small(), small()))
+    return specs
+
+
+def test_classify_matches_definition_oracle():
+    seen = set()
+    for spec in oracle_corpus():
+        bc = extract_bc(spec)
+        sa = self_adjoint_by_definition(bc)
+        try:
+            k = classify(spec)
+        except PreconditionError:
+            assert sa, spec  # only self-adjoint conditions without a jump form
+            seen.add((type(spec).__name__, "no-jump-form"))
+            continue
+        seen.add((type(spec).__name__, type(k).__name__))
+        if isinstance(k, NotSelfAdjoint):
+            assert not sa, spec
+            assert k.bc == bc
+        else:
+            assert sa, spec
+            assert classification_rows(k).row_equivalent(bc), (spec, k)
+    assert classify(PointPotential(0, 3, -1, -1)) == SeparatingSA(1, 0, 0, 1)
+    for kind in ("PointPotential", "PseudoPotential", "DeltaPrimeFamily"):
+        for outcome in ("InteractingSA", "SeparatingSA", "NotSelfAdjoint"):
+            assert (kind, outcome) in seen, (kind, outcome)
 
 
 def test_classify_real_case_formulas():
@@ -343,10 +425,32 @@ def test_form_accepts_classifications():
     assert sesquilinear_form(k, psi, phi) == sesquilinear_form(
         delta_well(-2), psi, phi
     )
-    with pytest.raises(PreconditionError):
-        sesquilinear_form(InteractingSA(1, 0, 0), psi, phi)
+    # a = 1: r = s and q - p = r + s; no plain potential realizes it
+    k = InteractingSA(1, 0, 0)
+    psi, phi = jet_from_vector((0, "2i", "1i", "1i")), jet_from_vector((1, 5, 2, 2))
+    assert sesquilinear_form(k, psi, phi) == Scalar(0, 4)
+    assert sesquilinear_form(k, phi, psi) == Scalar(0, -4)
     with pytest.raises(PreconditionError):
         sesquilinear_form(PointPotential("1i", 0, 0, 0), psi, phi)
+
+
+def test_form_on_classifications_without_potential():
+    # Neumann-Neumann and an imaginary coupling slope: self-adjoint, but no
+    # plain potential realizes them
+    rng = random.Random(613)
+    cases = [
+        (SeparatingSA(1, 0, 1, 0), BCMatrix([[0, 0, 1, 0], [0, 0, 0, 1]])),
+        (InteractingSA(0, "1i", 0),
+         BCMatrix([[0, 0, Scalar(-1, 1), Scalar(1, 1)],
+                   [Scalar(1, -1), Scalar(-1, -1), 0, 0]])),
+    ]
+    for k, bc in cases:
+        jets = constrained_jets(bc, rng, 4)
+        for psi in jets:
+            for phi in jets:
+                v = sesquilinear_form(k, psi, phi)
+                assert v == sesquilinear_form(k, phi, psi).conjugate()
+                assert v == boundary_form_raw(psi, phi)
 
 
 def test_named_operator_validation():
