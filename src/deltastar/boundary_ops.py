@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg
 
 from .dist_core import (
     Scalar,
@@ -50,7 +51,7 @@ _ZERO4 = (_ZERO,) * 4
 
 
 def _row(entries):
-    row = tuple(as_scalar(e) for e in entries)
+    row = tuple(map(as_scalar, entries))
     if len(row) != 4:
         raise ValueError("jet rows have exactly four entries")
     return row
@@ -163,11 +164,8 @@ class JetOperator:
         if not isinstance(other, JetOperator):
             return NotImplemented
         return JetOperator(
-            tuple(a + b for a, b in zip(self.row_delta, other.row_delta)),
-            tuple(
-                a + b
-                for a, b in zip(self.row_delta_prime, other.row_delta_prime)
-            ),
+            tuple(map(add, self.row_delta, other.row_delta)),
+            tuple(map(add, self.row_delta_prime, other.row_delta_prime)),
         )
 
     def __sub__(self, other):
@@ -380,7 +378,4 @@ def constraint_rows(spec):
         [-c1, -c2, b1-1, b2+1]   and   [b1+1, b2-1, 0, 0].
     """
     op = constraint_operator(spec)
-    return (
-        tuple(-c for c in op.row_delta),
-        op.row_delta_prime,
-    )
+    return tuple(map(neg, op.row_delta)), op.row_delta_prime

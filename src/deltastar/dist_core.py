@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 
 class AlgebraError(ValueError):
@@ -74,41 +74,80 @@ class Scalar:
     the token form ("2i", "1-3/4i") work too.  Arithmetic mixes freely
     with ints and Fractions; floats are rejected to keep everything
     exact.
+
+    Stored as one Gaussian rational (a + b i) / d of three ints with
+    d > 0 and gcd(a, b, d) == 1.  The form is canonical, so equality
+    compares the three ints; ``re`` and ``im`` are Fractions built on
+    demand.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = _frac(re), _frac(im)
+        q, s = re.denominator, im.denominator
+        d = q * s // gcd(q, s)
+        # each part is in lowest terms, so gcd(a, b, d) == 1 already
+        self._a, self._b, self._d = re.numerator * (d // q), im.numerator * (d // s), d
+
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
 
     @property
     def is_zero(self):
-        return not self.re and not self.im
+        return not (self._a or self._b)
 
     @property
     def is_real(self):
-        return not self.im
+        return not self._b
 
     def conjugate(self):
-        return Scalar(self.re, -self.im)
+        return _mk(self._a, -self._b, self._d) if self._b else self
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self._a or self._b)
 
     def __add__(self, other):
-        other = as_scalar_or_none(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            if type(other) is int:
+                return _mk(self._a + other * self._d, self._b, self._d)
+            other = as_scalar_or_none(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not (c or e):
+            return self
+        if not (a or b):
+            return other
+        if d == f:
+            return _norm(a + c, b + e, d)
+        return _norm(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_scalar_or_none(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar:
+            if type(other) is int:
+                return _mk(self._a - other * self._d, self._b, self._d)
+            other = as_scalar_or_none(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not (c or e):
+            return self
+        if d == f:
+            return _norm(a - c, b - e, d)
+        return _norm(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
         other = as_scalar_or_none(other)
@@ -117,27 +156,39 @@ class Scalar:
         return other - self
 
     def __mul__(self, other):
-        other = as_scalar_or_none(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not Scalar:
+            if type(other) is int:
+                return _norm(self._a * other, self._b * other, self._d)
+            other = as_scalar_or_none(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not (a or b):
+            return self
+        if not (c or e):
+            return other
+        return _norm(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_scalar_or_none(other)
-        if other is None:
-            return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if not d:
-            raise ZeroDivisionError("scalar division by zero")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        if type(other) is not Scalar:
+            other = as_scalar_or_none(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not e:
+            if not c:
+                raise ZeroDivisionError("scalar division by zero")
+            if c < 0:
+                f = -f
+                c = -c
+            return _norm(a * f, b * f, d * c)
+        # multiply through by the conjugate of the divisor
+        n = c * c + e * e
+        return _norm((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
     def __rtruediv__(self, other):
         other = as_scalar_or_none(other)
@@ -146,42 +197,75 @@ class Scalar:
         return other / self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _mk(-self._a, -self._b, self._d) if self._a or self._b else self
 
     def __eq__(self, other):
-        other = as_scalar_or_none(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not Scalar:
+            if type(other) is int:
+                return self._a == other and not self._b and self._d == 1
+            other = as_scalar_or_none(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         # match the hash of the plain rational when the value is real
-        return hash(self.re) if not self.im else hash((self.re, self.im))
+        return hash(self.re) if not self._b else hash((self.re, self.im))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def token(self):
         """Canonical text form: "p/q", "p/qi" or "a+bi" (lowest terms)."""
-        if not self.im:
-            return _rat_token(self.re)
-        if not self.re:
-            return _rat_token(self.im) + "i"
-        sign = "+" if self.im > 0 else "-"
-        return _rat_token(self.re) + sign + _rat_token(abs(self.im)) + "i"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio_token(a, d)
+        if not a:
+            return _ratio_token(b, d) + "i"
+        sign = "+" if b > 0 else "-"
+        return _ratio_token(a, d) + sign + _ratio_token(abs(b), d) + "i"
 
     def __repr__(self):
         return self.token()
 
 
+_new = object.__new__
+
+
+def _mk(a, b, d):
+    """Scalar (a + b i) / d from parts already in lowest terms, d > 0."""
+    s = _new(Scalar)
+    s._a = a
+    s._b = b
+    s._d = d
+    return s
+
+
+def _norm(a, b, d):
+    """Scalar (a + b i) / d, reduced; d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return _mk(a // g, b // g, d // g)
+    return _mk(a, b, d)
+
+
+_ZERO = _mk(0, 0, 1)
+
+
+def _ratio_token(n, d):
+    """"p/q" or "p": the rational n / d (d > 0) in lowest terms."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else "%d/%d" % (n // g, d // g)
+
+
 def _rat_token(q):
-    return str(q.numerator) if q.denominator == 1 else "%d/%d" % (
-        q.numerator,
-        q.denominator,
-    )
+    return _ratio_token(q.numerator, q.denominator)
 
 
 def as_scalar(x):
+    if type(x) is Scalar:
+        return x
     s = as_scalar_or_none(x)
     if s is None:
         raise TypeError("cannot use %r as an exact scalar" % (x,))
@@ -189,8 +273,10 @@ def as_scalar(x):
 
 
 def as_scalar_or_none(x):
-    if isinstance(x, Scalar):
+    if type(x) is Scalar:
         return x
+    if type(x) is int:
+        return _mk(x, 0, 1)
     if isinstance(x, (int, Fraction)):
         return Scalar(x)
     if isinstance(x, str):
@@ -254,8 +340,8 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [as_scalar(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
+        cs = [c if type(c) is Scalar else as_scalar(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         if len(cs) - 1 > _DEGREE_CAP:
             raise DegreeCapError(
@@ -285,7 +371,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return Poly([c + (b[k] if k < len(b) else 0) for k, c in enumerate(a)])
+        return Poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -299,7 +385,7 @@ class Poly:
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
                 return Poly()
-            out = [Scalar(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
             for j, a in enumerate(self.coeffs):
                 for k, b in enumerate(other.coeffs):
                     out[j + k] = out[j + k] + a * b
@@ -324,7 +410,7 @@ class Poly:
     def eval(self, x):
         """Exact evaluation; x may be an int, Fraction or Scalar."""
         x = as_scalar(x)
-        acc = Scalar(0)
+        acc = _ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -356,12 +442,14 @@ def as_poly(p):
 
 def as_point(x):
     """Exact real location on the line."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, Scalar):
         if x.im:
             raise AlgebraError("point %s is not real" % x.token())
         return x.re
     if isinstance(x, (int, Fraction, str)):
-        return _frac(x) if not isinstance(x, str) else Fraction(x)
+        return _frac(x)
     raise TypeError("points must be exact rationals, got %r" % (x,))
 
 
@@ -425,7 +513,7 @@ class PiecewiseDist:
             if not isinstance(d, DeltaTerm):
                 d = DeltaTerm(*d)
             key = (d.point, d.order)
-            merged[key] = merged.get(key, Scalar(0)) + d.coeff
+            merged[key] = merged.get(key, _ZERO) + d.coeff
         ds = [
             DeltaTerm(p, o, c)
             for (p, o), c in sorted(merged.items())
@@ -622,8 +710,11 @@ def delta_times_smooth(j, x0, f):
     x0 = as_point(x0)
     f = as_poly(f)
     out = []
-    for k in range(j + 1):
-        c = f.deriv(k).eval(x0) * ((-1) ** k * comb(j, k))
+    # derivatives of f above its degree vanish
+    for k in range(min(j, f.degree) + 1):
+        if k:
+            f = f.deriv()
+        c = f.eval(x0) * ((-1) ** k * comb(j, k))
         out.append(DeltaTerm(x0, j - k, c))
     return out
 

@@ -47,6 +47,7 @@ from .dist_core import (
     Poly,
     Scalar,
     _rat_token,
+    _ratio_token,
     constant,
     degree_cap,
     delta_dist,
@@ -363,16 +364,13 @@ def parse_poly(text):
 def _coeff_terms(coeff, body):
     """Split a complex coefficient on a symbolic body into signed terms."""
     out = []
-    if coeff.re:
-        mag = abs(coeff.re)
-        prefix = "" if mag == 1 else _rat_token(mag) + "*"
-        out.append((-1 if coeff.re < 0 else 1, prefix + body if body else _rat_token(mag)))
-    if coeff.im:
-        mag = abs(coeff.im)
-        prefix = "i*" if mag == 1 else _rat_token(mag) + "i*"
-        out.append(
-            (-1 if coeff.im < 0 else 1, prefix + body if body else prefix[:-1])
-        )
+    for part, unit in ((coeff.re, ""), (coeff.im, "i")):
+        if part:
+            n, d = part.numerator, part.denominator
+            # a unit magnitude is written as "" (or "i") and "1" alone
+            mag = ("" if abs(n) == d else _ratio_token(abs(n), d)) + unit
+            text = (mag + "*" + body if mag else body) if body else mag or "1"
+            out.append((-1 if n < 0 else 1, text))
     return out
 
 

@@ -46,38 +46,41 @@ _ONE = Scalar(1)
 
 
 def _row4(entries):
-    row = tuple(as_scalar(e) for e in entries)
+    row = tuple(map(as_scalar, entries))
     if len(row) != 4:
         raise ValueError("boundary rows have four entries")
     return row
 
 
 def _rref(rows):
-    """Exact reduced row echelon form; zero rows dropped."""
+    """Exact reduced row echelon form; zero rows dropped.
+
+    Entries left of the pivot column are already zero in the pivot row,
+    so scaling and elimination touch only the columns right of it.
+    """
     work = [list(r) for r in rows]
     lead = 0
     for col in range(4):
-        pivot = next(
-            (k for k in range(lead, len(work)) if not work[k][col].is_zero),
-            None,
-        )
+        pivot = next((k for k in range(lead, len(work)) if work[k][col]), None)
         if pivot is None:
             continue
         work[lead], work[pivot] = work[pivot], work[lead]
-        inv = work[lead][col]
-        work[lead] = [e / inv for e in work[lead]]
-        for k in range(len(work)):
-            if k != lead and not work[k][col].is_zero:
-                factor = work[k][col]
-                work[k] = [
-                    e - factor * w for e, w in zip(work[k], work[lead])
-                ]
+        top = work[lead]
+        inv = top[col]
+        top[col] = _ONE
+        rest = [m for m in range(col + 1, 4) if top[m]]
+        for m in rest:
+            top[m] = top[m] / inv
+        for k, row in enumerate(work):
+            factor = row[col]
+            if k != lead and factor:
+                row[col] = _ZERO
+                for m in rest:
+                    row[m] = row[m] - factor * top[m]
         lead += 1
         if lead == len(work):
             break
-    return tuple(
-        tuple(row) for row in work if any(not e.is_zero for e in row)
-    )
+    return tuple(tuple(row) for row in work if any(row))
 
 
 class BCMatrix:
@@ -95,7 +98,7 @@ class BCMatrix:
         kept = []
         for r in rows:
             row = _row4(r)
-            if any(not e.is_zero for e in row):
+            if any(row):
                 kept.append(row)
         self.rows = tuple(kept)
 
@@ -131,7 +134,7 @@ class BCMatrix:
         if len(rows) != 2:
             return False
         if all(
-            (x1 * y2 - x2 * y1).is_zero
+            x1 * y2 == x2 * y1
             for (x1, x2), (y1, y2) in combinations(zip(*rows), 2)
         ):
             return False

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import deltastar
 from deltastar import delta_dist
 from deltastar.cli import main
 from deltastar.expr_io import decode
@@ -28,6 +32,20 @@ def test_product_text(capsys):
     rc, out, err = run(capsys, "product", "delta(0)*heaviside(0)")
     assert rc == 0
     assert out == "delta(0)\n"
+
+
+def test_product_high_delta_order_is_fast():
+    # a fresh process, killed at the bound: the product expands the delta
+    # against the constant right piece of heaviside, which has one
+    # nonvanishing derivative, so the order must not set the work
+    src = os.path.dirname(os.path.dirname(deltastar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "deltastar", "product",
+         "delta^100000000(0)*heaviside(0)"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "delta^100000000(0)\n"
 
 
 def test_product_json_record_decodes(capsys):

@@ -1,7 +1,9 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltastar import (
     AlgebraError,
@@ -23,6 +25,7 @@ from deltastar import (
     n_sing_supp,
     order_of,
     pair_polynomial_test,
+    parse_scalar,
     restrict,
     scale,
     zero,
@@ -200,3 +203,107 @@ def test_float_points_rejected():
         delta_dist(0.5, 0)
     with pytest.raises(AlgebraError):
         delta_dist(Scalar(0, 1), 0)
+
+
+# -- Scalar against a reference model of (Fraction, Fraction) pairs -----------
+
+_rats = st.one_of(
+    st.fractions(max_denominator=12),
+    st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**12)),
+)
+_scalars = st.one_of(
+    st.builds(Scalar, _rats, _rats),
+    st.builds(Scalar, st.integers(-50, 50), st.integers(-50, 50)),
+    st.builds(Scalar, _rats),
+    st.builds(Scalar, st.just(0), _rats),
+)
+_operands = st.one_of(_scalars, st.integers(-10**6, 10**6), _rats)
+
+
+def _pair(x):
+    if isinstance(x, Scalar):
+        return (x.re, x.im)
+    return (Fraction(x), Fraction(0))
+
+
+def _pair_div(p, q):
+    d = q[0] * q[0] + q[1] * q[1]
+    return ((p[0] * q[0] + p[1] * q[1]) / d, (p[1] * q[0] - p[0] * q[1]) / d)
+
+
+_OPS = {
+    "+": (operator.add, lambda p, q: (p[0] + q[0], p[1] + q[1])),
+    "-": (operator.sub, lambda p, q: (p[0] - q[0], p[1] - q[1])),
+    "*": (operator.mul, lambda p, q: (p[0] * q[0] - p[1] * q[1],
+                                      p[0] * q[1] + p[1] * q[0])),
+    "/": (operator.truediv, _pair_div),
+}
+
+
+def _pair_token(re, im):
+    if not im:
+        return str(re)
+    if not re:
+        return str(im) + "i"
+    return "%s%s%si" % (re, "+" if im > 0 else "-", abs(im))
+
+
+# deterministic and bounded: a fixed example sequence, no stored database
+_MODEL = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@_MODEL
+@given(x=_scalars, y=_operands, op=st.sampled_from(sorted(_OPS)), swap=st.booleans())
+def test_scalar_binary_ops_match_fraction_pairs(x, y, op, swap):
+    a, b = (y, x) if swap else (x, y)
+    fn, model = _OPS[op]
+    if op == "/" and _pair(b) == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            fn(a, b)
+        return
+    r = fn(a, b)
+    assert type(r) is Scalar
+    assert _pair(r) == model(_pair(a), _pair(b))
+    # equal values have one form: compare with a scalar built from parts
+    assert r == Scalar(*model(_pair(a), _pair(b)))
+    assert (a == b) == (_pair(a) == _pair(b))
+    assert (a != b) == (_pair(a) != _pair(b))
+
+
+@_MODEL
+@given(x=_scalars)
+def test_scalar_unary_ops_match_fraction_pairs(x):
+    re, im = _pair(x)
+    assert _pair(-x) == (-re, -im)
+    assert _pair(x.conjugate()) == (re, -im)
+    assert bool(x) == bool(re or im)
+    assert x.is_zero == (not re and not im)
+    assert x.is_real == (not im)
+    assert complex(x) == complex(float(re), float(im))
+    n = re.numerator
+    assert (x == n) == (n == x) == (re == n and not im)
+    if not im:
+        assert x == re and re == x
+        assert hash(x) == hash(re)
+    assert hash(x) == hash(Scalar(re, im))
+    assert x.token() == _pair_token(re, im)
+    assert repr(x) == x.token()
+    assert parse_scalar(x.token()) == x
+
+
+@settings(_MODEL, max_examples=50)
+@given(x=_scalars)
+def test_scalar_rejects_floats(x):
+    for fn in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            fn(x, 0.5)
+        with pytest.raises(TypeError):
+            fn(1.5, x)
+    with pytest.raises(TypeError):
+        Scalar(0.5)
+    with pytest.raises(TypeError):
+        Scalar(x.re, 0.25)
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(ZeroDivisionError):
+        x / Scalar(0, 0)
