@@ -7,7 +7,8 @@ floats and print CSV.  --format json wraps the same payload in a JSON
 object whose record fields round-trip through expr_io.
 
 Exit codes: 0 ok, 2 parse error (with input position), 3 precondition
-violation.  Diagnostics go to stderr.
+violation (an exact value beyond the float range counts as one).
+Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ def _cmd_scatter(args):
 
 def _cmd_spectrum(args):
     bc = _operator_bc(args)
-    energies = bound_states(bc, kappa_max=args.kappa_max, samples=args.samples)
+    energies = bound_states(bc)
     rows = [["bound", str(i), _fnum(e)] for i, e in enumerate(energies)]
     if args.grid:
         eps, L, N = _floats(args.grid, "--grid")
@@ -268,11 +269,22 @@ def _cmd_spectrum(args):
                     "--grid needs --strength unless the operator is --delta"
                 )
             strength = complex(parse_scalar(args.delta)).real
+        n = int(N)
+        if strength and n >= 3:
+            # a kernel narrower than two grid spacings is point-sampled
+            # too coarsely: at eps = h the ground state is ~30% off.
+            # Fewer than 3 points are grid_hamiltonian's to reject.
+            h = 2.0 * L / (n + 1)
+            if not eps >= 2.0 * h:
+                raise PreconditionError(
+                    "--grid kernel width eps=%g is below twice the grid "
+                    "spacing h=%g; raise N or eps" % (eps, h)
+                )
 
         def potential(x):
             return strength * bump(x / eps) / eps
 
-        ham = grid_hamiltonian(L, int(N), potential if strength else None)
+        ham = grid_hamiltonian(L, n, potential if strength else None)
         for i, e in enumerate(grid_eigenvalues(ham, args.levels)):
             rows.append(["grid", str(i), _fnum(e)])
     return _table(["source", "index", "energy"], rows)
@@ -345,8 +357,6 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="bound-state energies")
     operator_flags(p)
-    p.add_argument("--kappa-max", type=float, default=50.0)
-    p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--grid", metavar="EPS,L,N", default=None,
                    help="also diagonalize the mollified potential on a grid")
     p.add_argument("--strength", type=float, default=None,
@@ -376,7 +386,7 @@ def main(argv=None):
     except ExprError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
-    except (PreconditionError, AlgebraError) as exc:
+    except (PreconditionError, AlgebraError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -5,13 +5,14 @@ Three independent checks live here:
 * mollified one-sided limits — pair a piecewise polynomial against the
   shifted bump kernel v_eps^(n)(x -+ eps) by adaptive quadrature and
   compare with the exact one-sided jet value;
-* scattering and bound states of a rank-2 boundary condition, from the
-  2x2 linear systems on plane-wave and decaying-exponential jets;
+* scattering and bound states of a rank-2 boundary condition, read off
+  one exact determinant D(kappa) of the rows on decaying jets: its
+  positive roots, and Cramer's rule at kappa = -+ik;
 * a Dirichlet finite-difference Hamiltonian on [-L, L] whose low
   eigenvalues can be compared against the bound-state energies of the
   operator the regularized potential approximates.
 
-Everything here is float; the exact reference values come from the
+Results here are floats; the exact reference values come from the
 symbolic modules.
 """
 
@@ -24,10 +25,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import brentq
 
 from .boundary_ops import PreconditionError, SidedDelta, apply_shifting_delta_dist
-from .dist_core import as_poly, pair_polynomial_test
+from .dist_core import Scalar, as_poly, pair_polynomial_test
 from .schrodinger import BCMatrix, extract_bc
 
 
@@ -209,9 +209,9 @@ _NAN = complex(float("nan"), float("nan"))
 class ScatteringData:
     """Reflection/transmission amplitudes at one wavenumber.
 
-    singular means the jet system was degenerate at this k (a bound state
-    embedded at the sampling energy or a rank defect); the amplitudes are
-    NaN in that case.
+    singular means the jet system was degenerate at this k, D(-ik) = 0
+    exactly (a bound state embedded at the sampling energy or a rank
+    defect); the amplitudes are NaN in that case.
     """
 
     k: float
@@ -222,106 +222,83 @@ class ScatteringData:
     singular: bool = False
 
 
-def _as_bc(bc):
-    return bc if isinstance(bc, BCMatrix) else extract_bc(bc)
+def _decay_jets(bc, rank_error):
+    """The rows on the jets (1, 0, kappa, 0) and (0, 1, 0, -kappa), exactly.
 
-
-def _solve_rt(rows, jet0, jet_r, jet_t):
-    A = np.array(
-        [[np.dot(r, jet_r), np.dot(r, jet_t)] for r in rows], dtype=complex
+    Row (r0, r1, r2, r3) gives the linear polynomials u(kappa) =
+    r0 + kappa r2 and v(kappa) = r1 - kappa r3; the returned function
+    maps kappa to ((u1, u2), (v1, v2)) over the two reduced rows.  The
+    conditions have a solution on these jets where D = u1 v2 - v1 u2 = 0.
+    """
+    rows = (bc if isinstance(bc, BCMatrix) else extract_bc(bc)).reduced()
+    if len(rows) != 2:
+        raise PreconditionError(rank_error)
+    return lambda kappa: (
+        tuple(r[0] + kappa * r[2] for r in rows),
+        tuple(r[1] - kappa * r[3] for r in rows),
     )
-    b = np.array([-np.dot(r, jet0) for r in rows], dtype=complex)
-    scale = max(1.0, float(np.abs(A).max()))
-    if abs(np.linalg.det(A)) <= 1e-12 * scale * scale:
-        return None
-    sol = np.linalg.solve(A, b)
-    return complex(sol[0]), complex(sol[1])
+
+
+def _cross(x, y):
+    return x[0] * y[1] - x[1] * y[0]
 
 
 def scattering(bc, k):
     """Plane-wave amplitudes for a rank-2 boundary condition.
 
-    Solves row . jet = 0 on e^{ikx} + r e^{-ikx} | t e^{ikx} (left
-    incidence) and its mirror (right incidence).
+    The decaying jets at kappa = -ik are the outgoing waves, at +ik the
+    incoming ones.  Cramer's rule on e^{ikx} + r e^{-ikx} | t e^{ikx}
+    (left incidence) and its mirror gives r and t over +-D(-ik), exactly
+    at Fraction(k); singular means D(-ik) = 0.
     """
-    bc = _as_bc(bc)
-    if bc.rank != 2:
-        raise PreconditionError("scattering needs a rank-2 boundary condition")
+    jets = _decay_jets(bc, "scattering needs a rank-2 boundary condition")
     if not k > 0:
         raise PreconditionError("wavenumber must be positive")
-    rows = [np.array(r, dtype=complex) for r in bc.as_complex()]
-    ik = 1j * k
-    left = _solve_rt(
-        rows,
-        np.array([1, 0, ik, 0]),
-        np.array([1, 0, -ik, 0]),
-        np.array([0, 1, 0, ik]),
-    )
-    right = _solve_rt(
-        rows,
-        np.array([0, 1, 0, -ik]),
-        np.array([0, 1, 0, ik]),
-        np.array([1, 0, -ik, 0]),
-    )
-    if left is None or right is None:
+    if k == math.inf:
+        raise PreconditionError("wavenumber must be finite")
+    ik = Scalar(0, Fraction(k))
+    (u, v), (u_in, v_in) = jets(-ik), jets(ik)
+    det = _cross(u, v)
+    if not det:
         return ScatteringData(k, singular=True)
-    return ScatteringData(k, left[0], left[1], right[0], right[1])
+    return ScatteringData(k, *(
+        complex(_cross(a, b) / det)
+        for a, b in ((v, u_in), (u_in, u), (v_in, u), (v, v_in))
+    ))
 
 
-def bound_states(bc, kappa_max=50.0, samples=10000):
+def bound_states(bc):
     """Negative-energy eigenvalues E = -kappa^2, ascending.
 
-    Roots of the determinant of the boundary condition on the decaying
-    jets (1, 0, kappa, 0) and (0, 1, 0, -kappa), located by sign-change
-    bracketing on a uniform kappa grid and polished by brentq.
+    kappa runs over the positive real roots of D (see _decay_jets), made
+    monic.  With a non-real coefficient the only candidate is the root of
+    the imaginary part, checked exactly; otherwise the real quadratic is
+    solved by the stable formula.
     """
-    bc = _as_bc(bc)
-    if bc.rank != 2:
-        raise PreconditionError("bound states need a rank-2 boundary condition")
-    r1, r2 = [np.array(r, dtype=complex) for r in bc.as_complex()]
-
-    def det(kappa):
-        a = r1[0] + kappa * r1[2]
-        b = r1[1] - kappa * r1[3]
-        c = r2[0] + kappa * r2[2]
-        d = r2[1] - kappa * r2[3]
-        return a * d - b * c
-
-    kappas = np.linspace(kappa_max / samples, kappa_max, samples)
-    vals = np.array([det(k) for k in kappas])
-    scale = float(np.abs(vals).max())
-    if scale == 0.0:
-        return []
-    phase = vals[int(np.abs(vals).argmax())]
-    phase /= abs(phase)
-    real = (vals / phase).real
-
-    roots = []
-    for j in range(len(kappas) - 1):
-        a, b = real[j], real[j + 1]
-        if a == 0.0:
-            roots.append(float(kappas[j]))
-        elif a * b < 0.0:
-            roots.append(
-                brentq(
-                    lambda k: (det(k) / phase).real,
-                    float(kappas[j]),
-                    float(kappas[j + 1]),
-                    xtol=1e-14,
-                    rtol=8.9e-16,
-                )
-            )
-    if real[-1] == 0.0:
-        roots.append(float(kappas[-1]))
-
-    good = []
-    for k in roots:
-        if abs(det(k)) > 1e-7 * scale:
-            continue  # phase-projected crossing, not a true root
-        if good and abs(k - good[-1]) < 1e-9 * max(1.0, k):
-            continue
-        good.append(k)
-    return sorted(-k * k for k in good)
+    jets = _decay_jets(bc, "bound states need a rank-2 boundary condition")
+    # D has degree <= 2: its exact coefficients from D(0), D(1), D(-1)
+    d0, d1, d2 = (_cross(*jets(x)) for x in (0, 1, -1))
+    coeffs = [d0, (d1 - d2) / 2, (d1 + d2) / 2 - d0]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if len(coeffs) < 2:
+        return []  # D is zero or a nonzero constant
+    lead = coeffs.pop()
+    c = [x / lead for x in coeffs]  # D / lead = kappa^n + ... + c[0]
+    if not all(x.is_real for x in c):
+        im = [x.im for x in c]
+        kappas = [-im[0] / im[1]] if len(c) == 2 and im[1] else []
+        kappas = [x for x in kappas if not _cross(*jets(x))]
+    elif len(c) == 1:
+        kappas = [-c[0].re]
+    else:
+        q, p = c[0].re, c[1].re
+        disc = p * p - 4 * q
+        kappas = [-p / 2] if disc == 0 else []
+        if disc > 0:
+            s = -(float(p) + math.copysign(math.sqrt(disc), p)) / 2
+            kappas = [s, float(q) / s]
+    return sorted(float(-x ** 2) for x in kappas if x > 0)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -190,6 +191,93 @@ def test_spectrum_grid_needs_strength(capsys):
     rc, out, err = run(capsys, "spectrum", "--bc", "0,1,0,0;1,0,0,0",
                        "--grid", "0.1,10,100")
     assert rc == 3
+
+
+def test_scatter_infinite_k_exits_3(capsys):
+    rc, out, err = run(capsys, "scatter", "--delta", "-2", "--k=inf")
+    assert rc == 3
+    assert out == ""
+    assert "finite" in err and "Traceback" not in err
+
+
+def test_scatter_huge_k_is_unitary(capsys):
+    payload = run_json(capsys, "scatter", "--delta", "-2", "--k=1e308")
+    row = payload["rows"][0]
+    assert row[7] == "0"
+    r, t = cell(row[1]), cell(row[2])
+    assert abs(r) ** 2 + abs(t) ** 2 == 1.0
+    assert float(row[5]) + float(row[6]) == 1.0
+
+
+def test_spectrum_deep_well(capsys):
+    rc, out, err = run(capsys, "spectrum", "--delta=-200")
+    assert rc == 0
+    assert out.splitlines() == ["source,index,energy", "bound,0,-10000"]
+
+
+def test_values_past_the_float_range_exit_3(capsys):
+    # the energy -2.5e399 has no float; an infinite N has no int
+    for argv in (["spectrum", "--delta=-1e200"],
+                 ["spectrum", "--delta", "-2", "--grid", "0.05,20,inf"]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 3 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_spectrum_has_no_kappa_grid_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--delta", "-2", "--samples", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--kappa-max" not in usage and "--samples" not in usage
+
+
+def test_spectrum_grid_resolution_precondition(capsys):
+    # eps/h = 1.0: the point-sampled kernel gave -1.39 against about -1
+    rc, out, err = run(capsys, "spectrum", "--delta", "-2",
+                       "--grid", "0.01,20,4000")
+    assert rc == 3 and out == ""
+    assert "eps=0.01" in err and "h=0.0099975" in err
+    for grid in ("0.01,20,7999", "0.05,12,1500"):
+        rc, out, err = run(capsys, "spectrum", "--delta", "-2", "--grid", grid)
+        assert rc == 0, err
+        assert out.splitlines()[-1].startswith("grid,0,-")
+
+
+def _readme_examples():
+    """(argv, shown output, output cut by '...') of each README CLI example."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if not line.startswith("$ deltastar "):
+            continue
+        shown, cut = [], False
+        for nxt in lines[i + 1:]:
+            cut = nxt == "..."
+            if cut or nxt.startswith(("$ ", "```")):
+                break
+            shown.append(nxt)
+        while shown and not shown[-1]:
+            shown.pop()
+        examples.append((shlex.split(line[2:], comments=True)[1:], shown, cut))
+    return examples
+
+
+def test_readme_examples(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 6
+    for argv, shown, cut in examples:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0, (argv, err)
+        got = out.splitlines()
+        assert (got[:len(shown)] if cut else got) == shown, argv
 
 
 def test_weaklimit_table(capsys):

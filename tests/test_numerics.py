@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from deltastar import Poly, Scalar, add, delta_dist, heaviside, indicator
 from deltastar.boundary_ops import PreconditionError
@@ -143,6 +144,13 @@ def test_scattering_unitarity_randomized():
             assert abs(abs(d.r_right) ** 2 + abs(d.t_right) ** 2 - 1) < 1e-12
 
 
+def test_scattering_singular_only_when_exactly_degenerate():
+    # free motion at a tiny k: D(-ik) is ~k, small but not zero
+    d = scattering(delta_well(0), 1e-13)
+    assert not d.singular
+    assert d.r_left == 0 and d.t_left == 1
+
+
 def test_scattering_singular_conditions_flagged():
     bc = BCMatrix([[1, 0, 0, 0], [0, 0, 1, 0]])  # both rows read one side
     d = scattering(bc, 1.0)
@@ -171,6 +179,112 @@ def test_separated_robin_bound_state():
     bc = BCMatrix([[-1, 0, 1, 0], [0, 1, 0, 0]])  # psi'(0-) = psi(0-); Dirichlet right
     E = bound_states(bc)
     assert len(E) == 1 and abs(E[0] + 1.0) < 1e-10
+
+
+def test_bound_states_beyond_the_old_kappa_grid():
+    # kappa = 100 and kappa = 1/2000 lay outside the bracketing grid
+    # (0.005, 50] the determinant used to be searched on
+    assert bound_states(delta_well(-200)) == [-10000.0]
+    (E,) = bound_states(delta_well(Fraction(-1, 1000)))
+    assert abs(E + 2.5e-7) <= 1e-12 * 2.5e-7
+
+
+def test_complex_rows_bound_state():
+    # psi'(0-) = psi(0-) and psi'(0+) = -i psi(0+): the determinant
+    # (kappa - 1)(i - kappa) has non-real coefficients; the root of its
+    # imaginary part, kappa = 1, is checked exactly
+    i = Scalar(0, 1)
+    assert bound_states(BCMatrix([[-1, 0, 1, 0], [0, i, 0, 1]])) == [-1.0]
+    # psi'(0-) = i psi(0-), Dirichlet on the right: the root kappa = i
+    # is not real
+    assert bound_states(BCMatrix([[-i, 0, 1, 0], [0, 1, 0, 0]])) == []
+    # monic D = kappa^2 + i/4 kappa - i/4: the imaginary part vanishes at
+    # kappa = 1, where D = 1
+    assert bound_states(BCMatrix([[1, 1, -i, 2], [i, 1 + i, i, 2]])) == []
+
+
+def test_scattering_rejects_non_finite_wavenumber():
+    with pytest.raises(PreconditionError, match="finite"):
+        scattering(delta_well(-2), float("inf"))
+    with pytest.raises(PreconditionError, match="positive"):
+        scattering(delta_well(-2), float("nan"))
+    d = scattering(delta_well(-2), 1e308)
+    assert not d.singular
+    assert abs(d.r_left) ** 2 + abs(d.t_left) ** 2 == 1.0
+
+
+# -- the determinant, property-based ------------------------------------------------
+
+_PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _rel_close(got, want, tol=1e-12):
+    return len(got) == len(want) and all(
+        abs(g - w) <= tol * abs(w) for g, w in zip(got, want)
+    )
+
+
+@_PROPS
+@given(a=st.fractions(min_value=Fraction(-10**4), max_value=Fraction(-1, 10**4),
+                      max_denominator=10**6))
+def test_delta_well_bound_state_closed_form(a):
+    assert _rel_close(bound_states(delta_well(a)), [float(-a * a / 4)])
+
+
+@_PROPS
+@given(am=st.fractions(-50, 50, max_denominator=1000),
+       ap=st.fractions(-50, 50, max_denominator=1000))
+def test_separated_robin_closed_form(am, ap):
+    # psi'(0-) = am psi(0-) and psi'(0+) = -ap psi(0+): each half-line
+    # binds -alpha^2 for a positive alpha
+    bc = BCMatrix([[-am, 0, 1, 0], [0, ap, 0, 1]])
+    want = sorted({float(-a * a) for a in (am, ap) if a > 0})
+    assert _rel_close(bound_states(bc), want)
+
+
+_small = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 5))
+_gauss = st.builds(Scalar, _small, st.one_of(st.just(0), _small))
+_rows = st.lists(st.lists(_gauss, min_size=4, max_size=4), min_size=2, max_size=2)
+
+
+@_PROPS
+@given(rows=_rows, k=st.floats(1e-3, 1e3))
+def test_scattering_solves_the_row_equations(rows, k):
+    # left: e^{ikx} + r e^{-ikx} | t e^{ikx}; right: its mirror image
+    bc = BCMatrix(rows)
+    assume(bc.rank == 2)
+    d = scattering(bc, k)
+    if d.singular:
+        return
+    ik = 1j * k
+    jets = (
+        (1 + d.r_left, d.t_left, ik * (1 - d.r_left), ik * d.t_left),
+        (d.t_right, 1 + d.r_right, -ik * d.t_right, -ik * (1 - d.r_right)),
+    )
+    for row in bc.as_complex():
+        scale = sum(abs(c) for c in row) * max(1.0, k)
+        for jet in jets:
+            amp = max(1.0, *(abs(x) for x in jet))
+            assert abs(sum(c * x for c, x in zip(row, jet))) <= 1e-12 * scale * amp
+
+
+@_PROPS
+@given(rows=_rows, m=st.lists(_gauss, min_size=4, max_size=4),
+       k=st.floats(1e-3, 1e3))
+def test_spectral_data_invariant_under_row_operations(rows, m, k):
+    assume(m[0] * m[3] - m[1] * m[2])
+    mixed = [[m[i] * x + m[i + 1] * y for x, y in zip(*rows)] for i in (0, 2)]
+    bc, other = BCMatrix(rows), BCMatrix(mixed)
+    if bc.rank != 2:
+        for f in (bound_states, lambda b: scattering(b, k)):
+            with pytest.raises(PreconditionError):
+                f(other)
+        return
+    assert bound_states(other) == bound_states(bc)
+    got, want = scattering(other, k), scattering(bc, k)
+    assert got.singular == want.singular
+    if not want.singular:
+        assert got == want
 
 
 # -- the grid ----------------------------------------------------------------------
