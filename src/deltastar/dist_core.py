@@ -572,11 +572,6 @@ class PiecewiseDist:
 
     # -- piece lookup ------------------------------------------------------
 
-    def piece_containing(self, x):
-        """The piece on the interval containing x (right piece if x is a
-        breakpoint)."""
-        return self.pieces[bisect_right(self.breakpoints, x)]
-
     def piece_left_of(self, p):
         return self.pieces[bisect_left(self.breakpoints, p)]
 

@@ -3,7 +3,7 @@
 Three independent checks live here:
 
 * mollified one-sided limits — pair a piecewise polynomial against the
-  shifted bump kernel v_eps^(n)(x -+ eps) by adaptive quadrature and
+  shifted bump kernel v_eps^(n)(x -+ eps) by tanh-sinh quadrature and
   compare with the exact one-sided jet value;
 * scattering and bound states of a rank-2 boundary condition, read off
   one exact determinant D(kappa) of the rows on decaying jets: its
@@ -13,39 +13,81 @@ Three independent checks live here:
   operator the regularized potential approximates.
 
 Results here are floats; the exact reference values come from the
-symbolic modules.
+symbolic modules.  Only the grid needs numpy and scipy, and imports them
+when it runs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import eigvalsh_tridiagonal
+from typing import TYPE_CHECKING
 
 from .boundary_ops import PreconditionError, SidedDelta, apply_shifting_delta_dist
 from .dist_core import Scalar, as_poly, pair_polynomial_test
 from .schrodinger import BCMatrix, extract_bc
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+# --------------------------------------------------------------------------
+# tanh-sinh quadrature
+
+_TS_TOL = 1e-12
+_TS_LEVELS = 12
+# a few roundings in each value of f and in the sum, relative to |f|
+_TS_ROUNDING = 8 * sys.float_info.epsilon
+
+
+def _tanh_sinh(f, a, b):
+    """(integral of f over (a, b), error estimate); f may be complex.
+
+    The double-exponential rule of Takahasi & Mori, Publ. RIMS 9 (1974)
+    721: x = c + r tanh(pi/2 sinh t) clusters the nodes at the ends, where
+    the bump is flat, and the trapezoid rule in t on |t| <= 4 (weights
+    below 1e-35 past it) halves its step, reusing the old nodes.  The
+    estimate is the larger of the difference between the last two levels
+    and the rounding, _TS_ROUNDING * integral of |f|.  The rule
+    stops once the difference is within _TS_TOL * max(1, |value|) or the
+    rounding, or is not finite, or after _TS_LEVELS halvings.
+    """
+    r = (b - a) / 2
+
+    def level(ts):  # sums of f and |f| times the weight at the nodes +-t
+        s = m = 0.0
+        for t in ts:
+            e = math.exp(-math.pi * math.sinh(t))  # exp(-2u) keeps the
+            d = 2 * r * e / (1 + e)  # distance to the ends exact
+            w = 2 * math.pi * r * math.cosh(t) * e / (1 + e) ** 2
+            lo, hi = f(a + d), f(b - d)
+            s += w * (lo + hi)
+            m += w * (abs(lo) + abs(hi))
+        return s, m
+
+    h = 1.0
+    (s, m), (total, mass) = level((0.0,)), level((1, 2, 3, 4))
+    total, mass = total + s / 2, mass + m / 2  # t = 0 is one node, not two
+    value = total
+    for _ in range(_TS_LEVELS):
+        s, m = level((j + 0.5) * h for j in range(int(4 / h)))
+        total, mass, h = total + s, mass + m, h / 2
+        diff, value = abs(h * total - value), h * total
+        rounding = _TS_ROUNDING * h * mass
+        if not diff > max(rounding, _TS_TOL * max(1.0, abs(value))):
+            break  # NaN stops too
+    return value, max(diff, rounding)
 
 
 # --------------------------------------------------------------------------
 # the bump kernel
 
 
-_bump_norm_cache = []
+# 1 / integral of exp(-1/(1-x^2)) over (-1, 1), 1/0.44399381616807943...
+_BUMP_NORM = 2.252283621043581
 _bump_poly_cache = [[Fraction(1)]]
-
-
-def _bump_norm():
-    """1 / integral of exp(-1/(1-x^2)) over (-1, 1), computed once."""
-    if not _bump_norm_cache:
-        raw, _ = quad(lambda x: math.exp(-1.0 / (1.0 - x * x)), -1.0, 1.0,
-                      epsabs=1e-12, epsrel=1e-10)
-        _bump_norm_cache.append(1.0 / raw)
-    return _bump_norm_cache[0]
 
 
 def _bump_poly(order):
@@ -88,7 +130,7 @@ def bump(x, order=0):
     num = 0.0
     for c in reversed(_bump_poly(order)):
         num = num * x + float(c)
-    return _bump_norm() * math.exp(-1.0 / t) * num / t ** (2 * order)
+    return _BUMP_NORM * math.exp(-1.0 / t) * num / t ** (2 * order)
 
 
 @dataclass(frozen=True)
@@ -107,6 +149,12 @@ class SmoothingKernel:
     def __post_init__(self):
         if not self.eps > 0:
             raise PreconditionError("eps must be positive")
+        if self.eps == math.inf:
+            raise PreconditionError("eps must be finite")
+        if not self.eps ** (1 + self.order):
+            raise PreconditionError(
+                "eps=%g underflows the kernel's scale eps**%d"
+                % (self.eps, 1 + self.order))
         if self.side not in ("left", "right"):
             raise PreconditionError("side must be 'left' or 'right'")
 
@@ -123,18 +171,9 @@ class SmoothingKernel:
         )
 
     def mass(self):
-        """Quadrature of the kernel over its support (1 for order 0).
-
-        For order >= 1 the true value is 0 by total cancellation between
-        lobes of size eps**-order, so the absolute tolerance is scaled by
-        that swing; otherwise quad stalls on roundoff.
-        """
-        lo, hi = self.support
-        swing = max(1.0, self.eps ** (-self.order))
-        val, _ = quad(
-            self, lo, hi, epsabs=1e-11 * swing, epsrel=1e-10, limit=200
-        )
-        return val
+        """Quadrature of the kernel over its support (1 for order 0, else
+        0 by cancellation between lobes of size eps**-order)."""
+        return _tanh_sinh(self, *self.support)[0]
 
 
 # --------------------------------------------------------------------------
@@ -147,11 +186,12 @@ def weak_limit_value(F, t=1, order=0, side="right"):
     return pair_polynomial_test(combo, t)
 
 
-def mollified_pairing(F, t=1, order=0, side="right", eps=0.1):
-    """<v_eps^(order)(. -+ eps) F, t> by adaptive quadrature.
+def mollified_pairing_with_error(F, t=1, order=0, side="right", eps=0.1):
+    """(<v_eps^(order)(. -+ eps) F, t>, error estimate) by tanh-sinh.
 
     F must be purely piecewise-polynomial (no delta terms); the integrand
-    is split at breakpoints of F inside the kernel support.
+    is split at breakpoints of F inside the kernel support, and the
+    estimate sums the rule's estimates over the pieces.
     """
     if F.deltas:
         raise PreconditionError("mollified pairing needs a delta-free F")
@@ -162,26 +202,20 @@ def mollified_pairing(F, t=1, order=0, side="right", eps=0.1):
         float(b) for b in F.breakpoints if lo < float(b) < hi
     ] + [hi]
 
-    has_imag = any(
-        c.im for p in F.pieces for c in p.coeffs
-    ) or any(c.im for c in tp.coeffs)
+    def integrand(x):
+        return F.eval_float(x) * tp.eval_float(x) * kern(x)
 
-    def integrand(part):
-        def f(x):
-            v = F.eval_float(x) * tp.eval_float(x) * kern(x)
-            return v.real if part == "re" else v.imag
-        return f
+    parts = [_tanh_sinh(integrand, a, b) for a, b in zip(cuts, cuts[1:])]
+    total = sum(v for v, _ in parts)
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        raise PreconditionError(
+            "mollified pairing at eps=%g is not finite" % eps)
+    return total, sum(e for _, e in parts)
 
-    total = 0.0 + 0.0j
-    for a, b in zip(cuts, cuts[1:]):
-        re, _ = quad(integrand("re"), a, b, epsabs=1e-12, epsrel=1e-10,
-                     limit=200)
-        im = 0.0
-        if has_imag:
-            im, _ = quad(integrand("im"), a, b, epsabs=1e-12, epsrel=1e-10,
-                         limit=200)
-        total += re + 1j * im
-    return total
+
+def mollified_pairing(F, t=1, order=0, side="right", eps=0.1):
+    """<v_eps^(order)(. -+ eps) F, t>; see mollified_pairing_with_error."""
+    return mollified_pairing_with_error(F, t, order, side, eps)[0]
 
 
 def weak_limit_check(F, t=1, order=0, side="right",
@@ -325,6 +359,8 @@ def grid_hamiltonian(L, N, potential=None):
         raise PreconditionError("need at least 3 grid points")
     if not L > 0:
         raise PreconditionError("half-width must be positive")
+    import numpy as np
+
     h = 2.0 * L / (N + 1)
     x = -L + h * (np.arange(N) + 1)
     v = np.zeros(N) if potential is None else np.array(
@@ -339,6 +375,8 @@ def grid_eigenvalues(H, m):
     """m smallest eigenvalues of the grid Hamiltonian, ascending."""
     if not 1 <= m <= H.N:
         raise PreconditionError("need 1 <= m <= N eigenvalues")
+    from scipy.linalg import eigvalsh_tridiagonal
+
     vals = eigvalsh_tridiagonal(
         H.diag, H.offdiag, select="i", select_range=(0, m - 1)
     )

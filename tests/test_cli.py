@@ -35,16 +35,20 @@ def test_product_text(capsys):
     assert out == "delta(0)\n"
 
 
+def fresh(*args, timeout=10):
+    """Run python with args in a fresh process on this source tree."""
+    src = os.path.dirname(os.path.dirname(deltastar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def test_product_high_delta_order_is_fast():
     # a fresh process, killed at the bound: the product expands the delta
     # against the constant right piece of heaviside, which has one
     # nonvanishing derivative, so the order must not set the work
-    src = os.path.dirname(os.path.dirname(deltastar.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-m", "deltastar", "product",
-         "delta^100000000(0)*heaviside(0)"],
-        env=env, capture_output=True, text=True, timeout=10)
+    done = fresh("-m", "deltastar", "product",
+                 "delta^100000000(0)*heaviside(0)")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "delta^100000000(0)\n"
 
@@ -294,3 +298,65 @@ def test_weaklimit_table(capsys):
 def test_weaklimit_rejects_delta_dist(capsys):
     rc, out, err = run(capsys, "weaklimit", "--dist", "delta(0)")
     assert rc == 3
+
+
+def test_weaklimit_writes_no_warning():
+    # scipy's quad warned of roundoff on this input; tanh-sinh converges
+    done = fresh(
+        "-m", "deltastar", "weaklimit",
+        "--dist=-3*piece(-3/4,0: 1) + piece(-1/4,0: -3/4)"
+        " + piece(-3/4,0: -3/2)",
+        "--test=-1/3 - 1/3i - 3*x^2", "--order=1", "--side=left",
+        "--eps=0.1,0.05,0.025")
+    assert done.returncode == 0 and done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert lines[0] == "eps,value,exact,abs_error"
+    want = [  # quad's cells: the same within its roundoff
+        ("0.1", "3.15-3.23899532367072e-16i", "0", "3.15"),
+        ("0.05", "1.575-6.47799064734144e-16i", "0", "1.575"),
+        ("0.025", "0.787500000000004-1.29559812946829e-15i", "0",
+         "0.787500000000004"),
+    ]
+    assert len(lines) == 1 + len(want)
+    for line, row in zip(lines[1:], want):
+        for got, old in zip(line.split(","), row):
+            assert abs(cell(got) - cell(old)) < 1e-12, (line, row)
+
+
+def test_weaklimit_eps_out_of_range_exits_3(capsys):
+    # eps=inf has no kernel; at eps=1e300 the pairing overflows, and at
+    # order 1 eps=1e-200 leaves the kernel's scale eps**2 at zero
+    for eps, order, message in (("inf", "0", "eps must be finite"),
+                                ("1e300", "0", "not finite"),
+                                ("1e-200", "1", "underflows")):
+        rc, out, err = run(capsys, "weaklimit", "--dist", "piece(0,inf: 1+x)",
+                           "--test", "1-x", "--order", order, "--eps=" + eps)
+        assert rc == 3 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+
+_EXACT_COMMANDS = """
+import sys
+from deltastar import cli
+for argv in (
+    ["product", "delta(0)*heaviside(0)"],
+    ["classify", "--c1", "-1", "--c2", "-1"],
+    ["represent", "--interacting", "0,1/2,-3/2"],
+    ["scatter", "--delta", "-2", "--k", "1,2"],
+    ["spectrum", "--delta", "-2"],
+    ["weaklimit", "--dist", "piece(0,inf: 1+x)", "--test", "1-x"],
+):
+    assert cli.main(argv) == 0, argv
+print("loaded", sorted(
+    m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+assert cli.main(["spectrum", "--delta", "-2", "--grid", "0.05,20,4000"]) == 0
+"""
+
+
+def test_only_the_grid_imports_numpy_and_scipy():
+    done = fresh("-c", _EXACT_COMMANDS, timeout=60)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    lines = done.stdout.splitlines()
+    assert "loaded []" in lines  # after the six commands
+    assert lines[-1] == "grid,0,-0.952076955552759"

@@ -1,13 +1,18 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
 from deltastar import Poly, Scalar, add, delta_dist, heaviside, indicator
 from deltastar.boundary_ops import PreconditionError
 from deltastar.numerics import (
+    _BUMP_NORM,
+    _TS_TOL,
+    _tanh_sinh,
     GridHamiltonian,
     ScatteringData,
     SmoothingKernel,
@@ -16,6 +21,7 @@ from deltastar.numerics import (
     grid_eigenvalues,
     grid_hamiltonian,
     mollified_pairing,
+    mollified_pairing_with_error,
     scattering,
     weak_limit_check,
     weak_limit_value,
@@ -54,6 +60,19 @@ def test_kernel_validation():
         SmoothingKernel(0.0, 0)
     with pytest.raises(PreconditionError):
         SmoothingKernel(0.1, 0, "up")
+    with pytest.raises(PreconditionError, match="positive"):
+        SmoothingKernel(float("nan"), 0)
+    with pytest.raises(PreconditionError, match="finite"):
+        SmoothingKernel(math.inf, 0)
+    with pytest.raises(PreconditionError, match="underflows"):
+        SmoothingKernel(1e-200, 1)  # eps**2 is zero
+
+
+def test_bump_norm_constant_matches_quad():
+    raw, err = quad(lambda x: math.exp(-1.0 / (1.0 - x * x)), -1.0, 1.0,
+                    epsabs=1e-13, epsrel=1e-13)
+    assert err < 1e-13
+    assert abs(_BUMP_NORM - 1.0 / raw) < 1e-15
 
 
 def test_bump_derivatives_match_finite_differences():
@@ -100,6 +119,78 @@ def test_mollified_pairing_complex_and_two_sided():
 def test_mollified_pairing_rejects_deltas():
     with pytest.raises(PreconditionError):
         mollified_pairing(add(heaviside(0), delta_dist(0, 0)), eps=0.1)
+
+
+def test_mollified_pairing_rejects_overflow():
+    # at eps=1e300 (1+x)(1-x) overflows on the kernel's support
+    F = indicator(0, None, Poly([1, 1]), n=0)
+    with pytest.raises(PreconditionError, match="not finite"):
+        mollified_pairing(F, t=Poly([1, -1]), eps=1e300)
+
+
+def test_tanh_sinh_closed_forms():
+    value, est = _tanh_sinh(lambda x: 1.0 / (1.0 + x * x), -1.0, 1.0)
+    assert abs(value - math.pi / 2) < 1e-14 and est <= _TS_TOL
+    # an integrable endpoint singularity, and a complex integrand
+    value, est = _tanh_sinh(lambda x: 1.0 / math.sqrt(x), 0.0, 4.0)
+    assert abs(value - 4.0) < 1e-12 and est <= 4 * _TS_TOL
+    value, est = _tanh_sinh(lambda x: complex(math.cos(x), math.sin(x)),
+                            0.0, math.pi)
+    assert abs(value - 2j) < 1e-14 and est <= 2 * _TS_TOL
+
+
+# three distributions with breakpoints inside every support below
+_QUAD_DISTS = (
+    add(indicator(Fraction(1, 50), None, Poly([1, 1])),
+        indicator(None, Fraction(-1, 30), Poly([2, 0, -1]))),
+    add(indicator(Fraction(1, 100), Fraction(1, 25), Poly([Scalar(1, 2), 3])),
+        indicator(Fraction(-3, 80), Fraction(-1, 100), Poly([-1, 0, 0, 5]))),
+    add(indicator(Fraction(1, 40), None, Poly([Fraction(1, 3), Scalar(0, 1)])),
+        indicator(None, Fraction(-1, 70), Poly([4, -2]))),
+)
+
+
+def _quad_pairing(F, t, order, side, eps):
+    """The same pairing by scipy's adaptive quad, real and imaginary.
+
+    quad is asked for 1e-14 and warns where roundoff stops it short.
+    """
+    kern = SmoothingKernel(eps, order, side)
+    lo, hi = kern.support
+    cuts = [lo] + [float(b) for b in F.breakpoints if lo < b < hi] + [hi]
+    total = 0j
+    for unit, part in ((1, lambda z: z.real), (1j, lambda z: z.imag)):
+        def f(x):
+            return part(F.eval_float(x) * t.eval_float(x) * kern(x))
+        for a, b in zip(cuts, cuts[1:]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IntegrationWarning)
+                val, _ = quad(f, a, b, epsabs=1e-14, epsrel=1e-14,
+                              limit=200)
+            total += unit * val
+    return total
+
+
+def test_mollified_pairing_matches_quad():
+    t = Poly([1, -1, Fraction(1, 2)])
+    cases = 0
+    for F in _QUAD_DISTS:
+        for order in (0, 1, 2):
+            for eps in (0.1, 0.05, 0.025):
+                for side in ("left", "right"):
+                    lo, hi = SmoothingKernel(eps, order, side).support
+                    assert any(lo < b < hi for b in F.breakpoints)
+                    got, est = mollified_pairing_with_error(
+                        F, t, order, side, eps)
+                    assert est <= _TS_TOL * max(1.0, abs(got))
+                    want = _quad_pairing(F, t, order, side, eps)
+                    # order 2 reaches |value| ~ 1e4 at eps=0.025, and
+                    # both sums round at that scale
+                    slack = 1e-12 * (max(1.0, abs(want)) if order == 2 else 1)
+                    assert abs(got - want) <= est + slack, (
+                        F, order, eps, side, got, want, est)
+                    cases += 1
+    assert cases == 54
 
 
 # -- scattering -------------------------------------------------------------------
