@@ -744,7 +744,8 @@ def hormander_product(F, G):
 
     The disjointness is checked at the joint regularity index
     n = max(F.n, G.n): each delta of one factor must sit where the other
-    factor is C^n, so its order-<= n jet is unambiguous there.
+    factor is C^n, so its order-<= n jet is the same from either side, and
+    star, which reads it from one side, gives the classical product.
     """
     n = max(F.n, G.n)
     overlap = set(n_sing_supp(F, n)) & set(n_sing_supp(G, n))
@@ -752,23 +753,7 @@ def hormander_product(F, G):
         raise DisjointnessError(
             "singular supports meet at %s" % sorted(overlap)
         )
-    pts = sorted(set(F.breakpoints) | set(G.breakpoints))
-    fs = F.pieces_over(pts)
-    gs = G.pieces_over(pts)
-    deltas = []
-    for d in F.deltas:
-        smooth = G.piece_right_of(d.point)  # C^n there, either side agrees
-        deltas += [
-            DeltaTerm(t.point, t.order, d.coeff * t.coeff)
-            for t in delta_times_smooth(d.order, d.point, smooth)
-        ]
-    for d in G.deltas:
-        smooth = F.piece_right_of(d.point)
-        deltas += [
-            DeltaTerm(t.point, t.order, d.coeff * t.coeff)
-            for t in delta_times_smooth(d.order, d.point, smooth)
-        ]
-    return PiecewiseDist(n, pts, [a * b for a, b in zip(fs, gs)], deltas)
+    return star(F, G)
 
 
 def star(F, G):

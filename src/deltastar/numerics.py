@@ -6,8 +6,9 @@ Three independent checks live here:
   shifted bump kernel v_eps^(n)(x -+ eps) by tanh-sinh quadrature and
   compare with the exact one-sided jet value;
 * scattering and bound states of a rank-2 boundary condition, read off
-  one exact determinant D(kappa) of the rows on decaying jets: its
-  positive roots, and Cramer's rule at kappa = -+ik;
+  exact polynomials in kappa whose coefficients are minors of the rows:
+  the determinant D(kappa) of the rows on decaying jets, with its positive
+  roots, and the Cramer numerators, evaluated with D at kappa = -ik;
 * a Dirichlet finite-difference Hamiltonian on [-L, L] whose low
   eigenvalues can be compared against the bound-state energies of the
   operator the regularized potential approximates.
@@ -26,8 +27,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .boundary_ops import PreconditionError, SidedDelta, apply_shifting_delta_dist
-from .dist_core import Scalar, as_poly, pair_polynomial_test
-from .schrodinger import BCMatrix, extract_bc
+from .dist_core import Poly, Scalar, as_poly, pair_polynomial_test
+from .schrodinger import BCMatrix, extract_bc, minors
 
 if TYPE_CHECKING:
     import numpy as np
@@ -151,7 +152,13 @@ class SmoothingKernel:
             raise PreconditionError("eps must be positive")
         if self.eps == math.inf:
             raise PreconditionError("eps must be finite")
-        if not self.eps ** (1 + self.order):
+        try:
+            scale = self.eps ** (1 + self.order)
+        except OverflowError:
+            raise PreconditionError(
+                "eps=%g overflows the kernel's scale eps**%d"
+                % (self.eps, 1 + self.order)) from None
+        if not scale:
             raise PreconditionError(
                 "eps=%g underflows the kernel's scale eps**%d"
                 % (self.eps, 1 + self.order))
@@ -256,25 +263,27 @@ class ScatteringData:
     singular: bool = False
 
 
-def _decay_jets(bc, rank_error):
-    """The rows on the jets (1, 0, kappa, 0) and (0, 1, 0, -kappa), exactly.
+def _spectral_polys(bc, rank_error):
+    """D and the numerators of r_left, t_left, r_right, t_right, exactly.
 
-    Row (r0, r1, r2, r3) gives the linear polynomials u(kappa) =
-    r0 + kappa r2 and v(kappa) = r1 - kappa r3; the returned function
-    maps kappa to ((u1, u2), (v1, v2)) over the two reduced rows.  The
-    conditions have a solution on these jets where D = u1 v2 - v1 u2 = 0.
+    The jets (1, 0, kappa, 0) and (0, 1, 0, -kappa) decay on the two
+    half-lines for Re kappa > 0; the conditions have a solution on them
+    where D(kappa) = 0.  Expanded, D and the Cramer numerators of the
+    plane-wave amplitudes at kappa = -ik are polynomials of degree <= 2
+    whose coefficients are the minors m_ij of the rows
+    (schrodinger.minors).  Below rank 2 every minor is zero.
     """
-    rows = (bc if isinstance(bc, BCMatrix) else extract_bc(bc)).reduced()
-    if len(rows) != 2:
+    m01, m02, m03, m12, m13, m23 = minors(
+        bc if isinstance(bc, BCMatrix) else extract_bc(bc))
+    if not any((m01, m02, m03, m12, m13, m23)):
         raise PreconditionError(rank_error)
-    return lambda kappa: (
-        tuple(r[0] + kappa * r[2] for r in rows),
-        tuple(r[1] - kappa * r[3] for r in rows),
+    return (
+        Poly((m01, -m03 - m12, -m23)),
+        Poly((-m01, m03 - m12, -m23)),
+        Poly((0, 2 * m02)),
+        Poly((-m01, m12 - m03, -m23)),
+        Poly((0, 2 * m13)),
     )
-
-
-def _cross(x, y):
-    return x[0] * y[1] - x[1] * y[0]
 
 
 def scattering(bc, k):
@@ -282,39 +291,33 @@ def scattering(bc, k):
 
     The decaying jets at kappa = -ik are the outgoing waves, at +ik the
     incoming ones.  Cramer's rule on e^{ikx} + r e^{-ikx} | t e^{ikx}
-    (left incidence) and its mirror gives r and t over +-D(-ik), exactly
-    at Fraction(k); singular means D(-ik) = 0.
+    (left incidence) and its mirror gives each amplitude as its numerator
+    over D, both evaluated exactly at kappa = -i Fraction(k); singular
+    means D(-ik) = 0.
     """
-    jets = _decay_jets(bc, "scattering needs a rank-2 boundary condition")
+    det, *nums = _spectral_polys(
+        bc, "scattering needs a rank-2 boundary condition")
     if not k > 0:
         raise PreconditionError("wavenumber must be positive")
     if k == math.inf:
         raise PreconditionError("wavenumber must be finite")
-    ik = Scalar(0, Fraction(k))
-    (u, v), (u_in, v_in) = jets(-ik), jets(ik)
-    det = _cross(u, v)
+    kappa = Scalar(0, -Fraction(k))
+    det = det.eval(kappa)
     if not det:
         return ScatteringData(k, singular=True)
-    return ScatteringData(k, *(
-        complex(_cross(a, b) / det)
-        for a, b in ((v, u_in), (u_in, u), (v_in, u), (v, v_in))
-    ))
+    return ScatteringData(k, *(complex(n.eval(kappa) / det) for n in nums))
 
 
 def bound_states(bc):
     """Negative-energy eigenvalues E = -kappa^2, ascending.
 
-    kappa runs over the positive real roots of D (see _decay_jets), made
-    monic.  With a non-real coefficient the only candidate is the root of
-    the imaginary part, checked exactly; otherwise the real quadratic is
-    solved by the stable formula.
+    kappa runs over the positive real roots of D (see _spectral_polys),
+    made monic.  With a non-real coefficient the only candidate is the
+    root of the imaginary part, checked exactly; otherwise the real
+    quadratic is solved by the stable formula.
     """
-    jets = _decay_jets(bc, "bound states need a rank-2 boundary condition")
-    # D has degree <= 2: its exact coefficients from D(0), D(1), D(-1)
-    d0, d1, d2 = (_cross(*jets(x)) for x in (0, 1, -1))
-    coeffs = [d0, (d1 - d2) / 2, (d1 + d2) / 2 - d0]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
+    D = _spectral_polys(bc, "bound states need a rank-2 boundary condition")[0]
+    coeffs = list(D.coeffs)
     if len(coeffs) < 2:
         return []  # D is zero or a nonzero constant
     lead = coeffs.pop()
@@ -322,7 +325,7 @@ def bound_states(bc):
     if not all(x.is_real for x in c):
         im = [x.im for x in c]
         kappas = [-im[0] / im[1]] if len(c) == 2 and im[1] else []
-        kappas = [x for x in kappas if not _cross(*jets(x))]
+        kappas = [x for x in kappas if not D.eval(x)]
     elif len(c) == 1:
         kappas = [-c[0].re]
     else:
@@ -337,6 +340,8 @@ def bound_states(bc):
 
 # --------------------------------------------------------------------------
 # grid Hamiltonian
+
+_GRID_NEEDS = "spectrum --grid needs numpy and scipy"
 
 
 @dataclass(frozen=True)
@@ -359,7 +364,10 @@ def grid_hamiltonian(L, N, potential=None):
         raise PreconditionError("need at least 3 grid points")
     if not L > 0:
         raise PreconditionError("half-width must be positive")
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise PreconditionError(_GRID_NEEDS) from None
 
     h = 2.0 * L / (N + 1)
     x = -L + h * (np.arange(N) + 1)
@@ -375,7 +383,10 @@ def grid_eigenvalues(H, m):
     """m smallest eigenvalues of the grid Hamiltonian, ascending."""
     if not 1 <= m <= H.N:
         raise PreconditionError("need 1 <= m <= N eigenvalues")
-    from scipy.linalg import eigvalsh_tridiagonal
+    try:
+        from scipy.linalg import eigvalsh_tridiagonal
+    except ImportError:
+        raise PreconditionError(_GRID_NEEDS) from None
 
     vals = eigvalsh_tridiagonal(
         H.diag, H.offdiag, select="i", select_range=(0, m - 1)

@@ -5,7 +5,11 @@ Everything here works on the two coefficient rows over the boundary jet
 ``boundary_ops.constraint_rows``: the pair of linear conditions cutting
 the operator's domain out of the maximal one.  Conditions are compared as
 row spaces (exact reduced row echelon form), since two sets of conditions
-with the same kernel describe the same operator.
+with the same kernel describe the same operator.  A rank-2 row space is
+also fixed, up to one common factor, by the six 2x2 minors of any two rows
+spanning it (its Pluecker coordinates, ``minors``); self-adjointness, the
+classification, the special-form matchers and the spectral polynomials of
+``numerics`` are all read off them.
 
 ``classify`` decides, exactly and from the rows alone, whether an
 operator spec gives a self-adjoint operator and of which kind:
@@ -30,7 +34,6 @@ that realize them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .boundary_ops import (
     DeltaPrimeFamily,
@@ -43,6 +46,7 @@ from .dist_core import Scalar, as_scalar
 
 _ZERO = Scalar(0)
 _ONE = Scalar(1)
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _row4(entries):
@@ -127,17 +131,12 @@ class BCMatrix:
         Writing the conditions as A (p, q) + B (r, -s) = 0, they give a
         self-adjoint operator iff rank [A|B] = 2 and A B* is Hermitian.
         Both tests are invariant under row operations, so any two rows
-        spanning the conditions will do; the rank is read off the 2x2
-        minors.
+        spanning the conditions will do; the rank is 2 iff some minor is
+        nonzero.
         """
-        rows = self.rows if len(self.rows) == 2 else self.reduced()
-        if len(rows) != 2:
+        if not any(minors(self)):
             return False
-        if all(
-            x1 * y2 == x2 * y1
-            for (x1, x2), (y1, y2) in combinations(zip(*rows), 2)
-        ):
-            return False
+        rows = _spanning_rows(self)
         b_conj = [(row[2].conjugate(), row[3].conjugate()) for row in rows]
         ab = [[p * r - q * s for r, s in b_conj] for p, q, _, _ in rows]
         return (
@@ -170,6 +169,24 @@ class BCMatrix:
         return "BCMatrix(%s)" % (
             [[e.token() for e in row] for row in self.rows],
         )
+
+
+def _spanning_rows(bc):
+    """The rows themselves when there are two, else the reduced rows;
+    two zero rows unless that leaves exactly two."""
+    rows = bc.rows if len(bc.rows) == 2 else bc.reduced()
+    return rows if len(rows) == 2 else ((_ZERO,) * 4,) * 2
+
+
+def minors(bc):
+    """(m01, m02, m03, m12, m13, m23), m_ij = r1_i r2_j - r1_j r2_i.
+
+    r1, r2 are two rows spanning the conditions, so the minors fix the
+    row space up to one common factor.  All six are zero unless the
+    conditions have rank 2.
+    """
+    r1, r2 = _spanning_rows(bc)
+    return tuple(r1[i] * r2[j] - r1[j] * r2[i] for i, j in _PAIRS)
 
 
 def extract_bc(spec):
@@ -239,42 +256,38 @@ def separating_sa(a_minus, b_minus, a_plus, b_plus):
 def classify(spec):
     """Exact self-adjointness classification of any operator spec.
 
-    Reads the boundary-condition rows: NotSelfAdjoint when they fail the
-    Kostrykin-Schrader criterion, SeparatingSA when their reduced rows
-    split into a left-only row (., 0, ., 0) and a right-only row
-    (0, ., 0, .), and otherwise InteractingSA(a, b, c), read off by
-    solving for the jumps w = q - p and d = s - r in terms of the sums
-    u = p + q and m = r + s:
+    Reads the minors m_ij of the boundary-condition rows: NotSelfAdjoint
+    when the rows fail the Kostrykin-Schrader criterion; SeparatingSA when
+    m02 = m13 = 0, i.e. the rows span a left-only row (., 0, ., 0) and a
+    right-only row (0, ., 0, .); and otherwise InteractingSA(a, b, c),
+    the solution for the jumps w = q - p and d = s - r in terms of the
+    sums u = p + q and m = r + s,
 
-        w = conj(b) u + a m,        d = c u - b m.
+        w = conj(b) u + a m,        d = c u - b m,
 
-    Self-adjoint coupling conditions that do not determine the jumps from
-    the sums (theta = -1, DeltaPrimeFamily(c, c, 1, 1), is one) have no
+    which is (a, b, c) = (-2 m23, m12 + m13 - m02 - m03, 2 m01) / det with
+    det = m02 + m13 - m03 - m12.  Self-adjoint coupling conditions with
+    det = 0 (theta = -1, DeltaPrimeFamily(c, c, 1, 1), is one) have no
     InteractingSA form and raise PreconditionError.
     """
     bc = extract_bc(spec)
     if not bc.self_adjoint:
         return NotSelfAdjoint(bc)
-    rows = bc.reduced()
-    left = [r for r in rows if r[1].is_zero and r[3].is_zero]
-    right = [r for r in rows if r[0].is_zero and r[2].is_zero]
-    if left and right:
-        (p, _, r, _), (_, q, _, s) = left[0], right[0]
-        return separating_sa(r, -p, s, -q)
-    # row . (p, q, r, s) = (j . (w, d) + k . (u, m)) / 2
-    j1, j2 = [(row[1] - row[0], row[3] - row[2]) for row in rows]
-    k1, k2 = [(row[0] + row[1], row[2] + row[3]) for row in rows]
-    det = j1[0] * j2[1] - j1[1] * j2[0]
-    if det.is_zero:
+    m01, m02, m03, m12, m13, m23 = minors(bc)
+    if not (m02 or m13):
+        # rows (p, 0, r, 0) and (0, q, 0, s) up to scale; each side is
+        # r psi' = -p psi or s psi' = -q psi, read off two of the minors
+        left = (-m12, -m01) if m12 or m01 else (m23, -m03)
+        right = (-m03, m01) if m03 or m01 else (-m23, -m12)
+        return separating_sa(*left, *right)
+    det = m02 + m13 - m03 - m12
+    if not det:
         raise PreconditionError(
             "the conditions do not fix the jumps from the sums: "
             "no InteractingSA form"
         )
-    return InteractingSA(
-        (j1[1] * k2[1] - j2[1] * k1[1]) / det,
-        (j1[0] * k2[1] - j2[0] * k1[1]) / det,
-        (j2[0] * k1[0] - j1[0] * k2[0]) / det,
-    )
+    return InteractingSA(-2 * m23 / det, (m12 + m13 - m02 - m03) / det,
+                         2 * m01 / det)
 
 
 # --------------------------------------------------------------------------
@@ -532,55 +545,30 @@ def check_potential_representable_B3_zero(bc):
 
 def match_continuity_jump(bc):
     """If the conditions say psi continuous with psi'(0+) - psi'(0-) =
-    a psi(0), return a; otherwise None."""
-    if bc.rank != 2:
+    a psi(0), return a; otherwise None.
+
+    Their kernel is spanned by (0, 0, 1, 1) and (1, 1, 0, a), whose
+    minors are m23 = 0, m13 = m02 = -m03 = -m12 and m01 = a m02; the
+    Pluecker relation m01 m23 - m02 m13 + m03 m12 = 0 then fixes m12.
+    """
+    m01, m02, m03, _, m13, m23 = minors(bc)
+    if m23 or not m02 or not m13 == m02 == -m03:
         return None
-    # kernel must contain (0, 0, 1, 1)
-    for row in bc.rows:
-        if not (row[2] + row[3]).is_zero:
-            return None
-    # and (1, 1, 0, a) for a single a
-    a = None
-    for row in bc.rows:
-        const = row[0] + row[1]
-        if row[3].is_zero:
-            if not const.is_zero:
-                return None
-            continue
-        cand = -const / row[3]
-        if a is None:
-            a = cand
-        elif a != cand:
-            return None
-    if a is None:
-        return None
-    # confirm: (1,1,0,a) must satisfy every row (rows with row[3] == 0
-    # were checked above; the rest defined a consistently)
-    return a
+    return m01 / m02
 
 
 def match_theta_jump(bc):
     """If the conditions say psi(0+) = theta psi(0-) and
-    psi'(0+) = psi'(0-)/theta, return theta; otherwise None."""
-    if bc.rank != 2:
+    psi'(0+) = psi'(0-)/theta, return theta; otherwise None.
+
+    Their kernel is spanned by (1, theta, 0, 0) and (0, 0, theta, 1),
+    whose minors are m01 = m23 = 0 and m13 = m02 = -theta m12; the
+    Pluecker relation then gives m02 m13 = m03 m12, so m12 != 0.
+    """
+    m01, m02, _, m12, m13, m23 = minors(bc)
+    if m01 or m23 or not m02 or m13 != m02:
         return None
-    pairs = []
-    for row in bc.rows:
-        pairs.append((row[0], row[1]))  # u + theta v = 0 from (1,theta,0,0)
-        pairs.append((row[3], row[2]))  # from (0,0,theta,1)
-    theta = None
-    for u, v in pairs:
-        if not v.is_zero:
-            cand = -u / v
-            if theta is None:
-                theta = cand
-            elif theta != cand:
-                return None
-        elif not u.is_zero:
-            return None
-    if theta is None or theta.is_zero:
-        return None
-    return theta
+    return -m02 / m12
 
 
 # --------------------------------------------------------------------------

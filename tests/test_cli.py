@@ -325,9 +325,12 @@ def test_weaklimit_writes_no_warning():
 
 def test_weaklimit_eps_out_of_range_exits_3(capsys):
     # eps=inf has no kernel; at eps=1e300 the pairing overflows, and at
-    # order 1 eps=1e-200 leaves the kernel's scale eps**2 at zero
+    # order 1 the kernel's scale eps**2 overflows a float, or eps=1e-200
+    # leaves it at zero
     for eps, order, message in (("inf", "0", "eps must be finite"),
                                 ("1e300", "0", "not finite"),
+                                ("1e300", "1", "eps=1e+300 overflows the "
+                                               "kernel's scale eps**2"),
                                 ("1e-200", "1", "underflows")):
         rc, out, err = run(capsys, "weaklimit", "--dist", "piece(0,inf: 1+x)",
                            "--test", "1-x", "--order", order, "--eps=" + eps)
@@ -360,3 +363,17 @@ def test_only_the_grid_imports_numpy_and_scipy():
     lines = done.stdout.splitlines()
     assert "loaded []" in lines  # after the six commands
     assert lines[-1] == "grid,0,-0.952076955552759"
+
+
+_GRID_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = sys.modules["scipy"] = None  # import raises
+from deltastar import cli
+sys.exit(cli.main(["spectrum", "--delta", "-2", "--grid", "0.05,20,4000"]))
+"""
+
+
+def test_grid_without_numpy_exits_3():
+    done = fresh("-c", _GRID_WITHOUT_NUMPY)
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == "error: spectrum --grid needs numpy and scipy\n"

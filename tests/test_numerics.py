@@ -29,9 +29,13 @@ from deltastar.numerics import (
 from deltastar.schrodinger import (
     BCMatrix,
     PointPotential,
+    classify,
     delta_prime_interaction,
     delta_well,
     dirichlet_specs,
+    match_continuity_jump,
+    match_theta_jump,
+    represent_from_bc,
 )
 
 
@@ -66,6 +70,8 @@ def test_kernel_validation():
         SmoothingKernel(math.inf, 0)
     with pytest.raises(PreconditionError, match="underflows"):
         SmoothingKernel(1e-200, 1)  # eps**2 is zero
+    with pytest.raises(PreconditionError, match=r"overflows.*eps\*\*2"):
+        SmoothingKernel(1e300, 1)  # eps**2 is out of range
 
 
 def test_bump_norm_constant_matches_quad():
@@ -359,23 +365,51 @@ def test_scattering_solves_the_row_equations(rows, k):
             assert abs(sum(c * x for c, x in zip(row, jet))) <= 1e-12 * scale * amp
 
 
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+# random rows, and the conditions each matcher and classify recognize
+_conditions = st.one_of(
+    _rows,
+    st.builds(lambda a: [[1, -1, 0, 0], [-a, 0, -1, 1]], _gauss),
+    st.builds(lambda t: [[-t, 1, 0, 0], [0, 0, 1, -t]], _gauss),
+    st.builds(lambda a, b, c: [[-c, -c, b - 1, b + 1],
+                               [b.conjugate() + 1, b.conjugate() - 1, a, a]],
+              _small, _gauss, _small),
+    st.builds(lambda p, q, r, s: [[p, 0, r, 0], [0, q, 0, s]],
+              _small, _small, _small, _small),
+)
+
+
 @_PROPS
-@given(rows=_rows, m=st.lists(_gauss, min_size=4, max_size=4),
-       k=st.floats(1e-3, 1e3))
-def test_spectral_data_invariant_under_row_operations(rows, m, k):
+@given(rows=_conditions, m=st.lists(_gauss, min_size=4, max_size=4),
+       pad=st.lists(_gauss, min_size=2, max_size=2), k=st.floats(1e-3, 1e3))
+def test_spectral_data_invariant_under_row_operations(rows, m, pad, k):
+    # rows scaled and mixed by an invertible m, or padded with a third row
+    # in their span, state the same conditions
     assume(m[0] * m[3] - m[1] * m[2])
     mixed = [[m[i] * x + m[i + 1] * y for x, y in zip(*rows)] for i in (0, 2)]
-    bc, other = BCMatrix(rows), BCMatrix(mixed)
-    if bc.rank != 2:
-        for f in (bound_states, lambda b: scattering(b, k)):
-            with pytest.raises(PreconditionError):
-                f(other)
-        return
-    assert bound_states(other) == bound_states(bc)
-    got, want = scattering(other, k), scattering(bc, k)
-    assert got.singular == want.singular
-    if not want.singular:
-        assert got == want
+    padded = mixed + [[pad[0] * x + pad[1] * y for x, y in zip(*rows)]]
+    bc = BCMatrix(rows)
+    kind = _outcome(classify, represent_from_bc(*rows))
+    assert _outcome(classify, represent_from_bc(*mixed)) == kind
+    for other in (BCMatrix(mixed), BCMatrix(padded)):
+        for match in (match_continuity_jump, match_theta_jump):
+            assert match(other) == match(bc)
+        if bc.rank != 2:
+            for f in (bound_states, lambda b: scattering(b, k)):
+                with pytest.raises(PreconditionError):
+                    f(other)
+            continue
+        assert bound_states(other) == bound_states(bc)
+        got, want = scattering(other, k), scattering(bc, k)
+        assert got.singular == want.singular
+        if not want.singular:
+            assert got == want
 
 
 # -- the grid ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from deltastar.schrodinger import (
     interacting_pseudo,
     match_continuity_jump,
     match_theta_jump,
+    minors,
     normalize_side,
     represent_from_bc,
     represent_interacting,
@@ -37,6 +38,7 @@ from deltastar.schrodinger import (
     sesquilinear_form,
     unconstrained_spec,
 )
+from deltastar.numerics import _spectral_polys
 from helpers import (
     jet_from_vector,
     rand_frac,
@@ -170,6 +172,46 @@ def test_classify_matches_definition_oracle():
             assert (kind, outcome) in seen, (kind, outcome)
 
 
+def _abs2(z):
+    return z * z.conjugate()
+
+
+def spectral_identities(bc):
+    """Unitarity on both sides, |D|^2 = |N_r|^2 + |N_t|^2 at kappa = -ik,
+    and |m02| = |m13|, i.e. |t_left| = |t_right|, checked exactly.
+
+    Unitarity is an identity of degree 4 in real k, so five distinct k
+    prove it.
+    """
+    D, r_left, t_left, r_right, t_right = _spectral_polys(bc, "rank 2")
+    unitary = True
+    for k in (1, 2, Fraction(1, 3), Fraction(5, 2), 7):
+        d, rl, tl, rr, tr = (
+            _abs2(p.eval(Scalar(0, -k)))
+            for p in (D, r_left, t_left, r_right, t_right))
+        unitary = unitary and d == rl + tl and d == rr + tr
+    _, m02, _, _, m13, _ = minors(bc)
+    return unitary, _abs2(m02) == _abs2(m13)
+
+
+def test_spectral_identities_on_the_oracle_corpus():
+    checked = 0
+    for spec in oracle_corpus():
+        bc = extract_bc(spec)
+        if self_adjoint_by_definition(bc):
+            assert spectral_identities(bc) == (True, True), spec
+            checked += 1
+        elif bc.rank == 2:  # on this corpus every one breaks an identity
+            assert spectral_identities(bc) != (True, True), spec
+    assert checked == 91
+    # negative controls: an absorbing coupling, unequal slopes and a
+    # complex theta jump
+    for spec in (PointPotential("1i", 0, 0, 0), PointPotential(0, 0, 2, 3),
+                 delta_prime_interaction("1i")):
+        assert not self_adjoint_by_definition(extract_bc(spec))
+        assert spectral_identities(extract_bc(spec)) != (True, True), spec
+
+
 def test_classify_real_case_formulas():
     rng = random.Random(601)
     for _ in range(50):
@@ -272,6 +314,14 @@ def test_continuity_jump_matcher():
         assert match_continuity_jump(bc) == c + d
         if c + d != 0:
             assert match_theta_jump(bc) is None
+    # psi continuous but psi'(0+) - 2 psi'(0-) = 5 psi(0)
+    bc = BCMatrix([[1, -1, 0, 0], [-5, 0, -2, 1]])
+    assert match_continuity_jump(bc) is None
+    # one condition only: rank 1
+    assert match_continuity_jump(BCMatrix([[-5, 0, -1, 1]])) is None
+    # padded with a third row in their span, the conditions keep their match
+    bc = BCMatrix([[1, -1, 0, 0], [-5, 0, -1, 1], [-4, -1, -1, 1]])
+    assert match_continuity_jump(bc) == 5
 
 
 def test_theta_matchers():
@@ -286,6 +336,8 @@ def test_theta_matchers():
             continue
         bc = extract_bc(DeltaPrimeFamily(c, c, e, e))
         assert match_theta_jump(bc) == Fraction(1 - e + c, 1 - e - c)
+    # psi(0+) = 2 psi(0-) but psi'(0+) = psi'(0-)/3
+    assert match_theta_jump(BCMatrix([[-2, 1, 0, 0], [0, 0, 1, -3]])) is None
 
 
 def test_free_operator_matches_trivially():
