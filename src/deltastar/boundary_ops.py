@@ -37,6 +37,7 @@ from .dist_core import (
     Scalar,
     as_point,
     as_scalar,
+    coerce_scalar_fields,
     delta_dist,
     star,
 )
@@ -66,9 +67,7 @@ class BoundaryJet:
     dpsi_minus: Scalar
     dpsi_plus: Scalar
 
-    def __post_init__(self):
-        for name in ("psi_minus", "psi_plus", "dpsi_minus", "dpsi_plus"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
+    __post_init__ = coerce_scalar_fields
 
     def as_tuple(self):
         return (self.psi_minus, self.psi_plus, self.dpsi_minus, self.dpsi_plus)
@@ -81,11 +80,7 @@ class DeltaCombo:
     coeff_delta: Scalar
     coeff_delta_prime: Scalar
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeff_delta", as_scalar(self.coeff_delta))
-        object.__setattr__(
-            self, "coeff_delta_prime", as_scalar(self.coeff_delta_prime)
-        )
+    __post_init__ = coerce_scalar_fields
 
     @property
     def is_zero(self):
@@ -276,9 +271,7 @@ class PointPotential:
     b1: Scalar
     b2: Scalar
 
-    def __post_init__(self):
-        for name in ("c1", "c2", "b1", "b2"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
+    __post_init__ = coerce_scalar_fields
 
 
 @dataclass(frozen=True)
@@ -323,9 +316,7 @@ class DeltaPrimeFamily:
     e: Scalar
     f: Scalar
 
-    def __post_init__(self):
-        for name in ("c", "d", "e", "f"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
+    __post_init__ = coerce_scalar_fields
 
 
 def to_jet_operator(spec):

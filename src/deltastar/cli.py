@@ -31,7 +31,6 @@ from .schrodinger import (
     BCMatrix,
     ConjugatePairFamily,
     NotRepresentable,
-    NotSelfAdjoint,
     OppositeSignFamily,
     SeparatingFamily,
     check_potential_representable_B3_zero,
@@ -82,12 +81,6 @@ def _fnum(x):
     return "%.15g" % x
 
 
-def _classification_kind(c):
-    if isinstance(c, NotSelfAdjoint):
-        return "not-self-adjoint"
-    return "separating" if hasattr(c, "a_minus") else "interacting"
-
-
 # -- subcommand bodies: each returns (json payload, text lines) -------------
 
 
@@ -116,17 +109,19 @@ def _cmd_classify(args):
         parse_scalar(args.b1),
         parse_scalar(args.b2),
     )
-    result = classify(spec)
+    record = encode(classify(spec))
     bc = extract_bc(spec)
+    bc_record = encode(bc)
     notes = _spec_annotations(bc)
     payload = {
         "status": "ok",
-        "kind": _classification_kind(result),
-        "classification": encode(result),
-        "bc": encode(bc),
+        # the header line reads "classification <kind>"
+        "kind": record.split(None, 2)[1],
+        "classification": record,
+        "bc": bc_record,
     }
     payload.update(notes)
-    lines = [encode(result).rstrip("\n"), encode(bc).rstrip("\n")]
+    lines = [record.rstrip("\n"), bc_record.rstrip("\n")]
     lines += ["%s %s" % kv for kv in sorted(notes.items())]
     return payload, lines
 
@@ -261,7 +256,10 @@ def _cmd_spectrum(args):
     energies = bound_states(bc)
     rows = [["bound", str(i), _fnum(e)] for i, e in enumerate(energies)]
     if args.grid:
-        eps, L, N = _floats(args.grid, "--grid")
+        grid = _floats(args.grid, "--grid")
+        if len(grid) != 3:
+            raise ExprError("--grid takes EPS,L,N")
+        eps, L, N = grid
         strength = args.strength
         if strength is None:
             if not args.delta:

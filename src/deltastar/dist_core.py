@@ -61,8 +61,14 @@ class DivergentIntegralError(AlgebraError):
 def _frac(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            # text is input: "1/0" is a malformed number, not arithmetic
+            raise ValueError("zero denominator in %r" % x) from None
     raise TypeError("expected an exact rational, got %r" % (x,))
 
 
@@ -272,6 +278,15 @@ def as_scalar(x):
     return s
 
 
+def coerce_scalar_fields(obj):
+    """__post_init__ of a frozen dataclass whose fields are all scalars:
+    coerce each field with as_scalar."""
+    for name in type(obj).__dataclass_fields__:
+        value = getattr(obj, name)
+        if type(value) is not Scalar:
+            object.__setattr__(obj, name, as_scalar(value))
+
+
 def as_scalar_or_none(x):
     if type(x) is Scalar:
         return x
@@ -290,7 +305,7 @@ def parse_scalar(text):
     if not s:
         raise ValueError("empty scalar token")
     if not s.endswith("i"):
-        return Scalar(Fraction(s))
+        return Scalar(s)
     body = s[:-1]
     # split an "a+bi" form at the sign separating the two parts
     cut = -1
@@ -302,13 +317,12 @@ def parse_scalar(text):
     else:
         re_part, im_part = body[:cut], body[cut:]
     if im_part in ("", "+"):
-        im = Fraction(1)
+        im = 1
     elif im_part == "-":
-        im = Fraction(-1)
+        im = -1
     else:
-        im = Fraction(im_part)
-    re = Fraction(re_part) if re_part else Fraction(0)
-    return Scalar(re, im)
+        im = _frac(im_part)
+    return Scalar(re_part or 0, im)
 
 
 # --------------------------------------------------------------------------
@@ -807,12 +821,9 @@ def derivative(F):
     return PiecewiseDist(n, F.breakpoints, [p.deriv() for p in F.pieces], deltas)
 
 
-def restrict(F, interval):
-    """Restriction to an open interval (lo, hi); None bounds are infinite.
-
-    Pieces are zeroed outside, finite endpoints become breakpoints, and
-    deltas survive only strictly inside the interval.
-    """
+def _open_interval(interval):
+    """The bounds of an open interval as points (None is infinite) and a
+    test for lying strictly inside it."""
     lo, hi = interval
     lo = None if lo is None else as_point(lo)
     hi = None if hi is None else as_point(hi)
@@ -822,6 +833,16 @@ def restrict(F, interval):
     def inside(x):
         return (lo is None or lo < x) and (hi is None or x < hi)
 
+    return lo, hi, inside
+
+
+def restrict(F, interval):
+    """Restriction to an open interval (lo, hi); None bounds are infinite.
+
+    Pieces are zeroed outside, finite endpoints become breakpoints, and
+    deltas survive only strictly inside the interval.
+    """
+    lo, hi, inside = _open_interval(interval)
     pts = [] if lo is None else [lo]
     pts += [p for p in F.breakpoints if inside(p)]
     if hi is not None:
@@ -831,7 +852,7 @@ def restrict(F, interval):
         if hi is not None and p == hi:
             pieces.append(Poly())
         else:
-            pieces.append(F.pieces[bisect_right(F.breakpoints, p)])
+            pieces.append(F.piece_right_of(p))
     deltas = [d for d in F.deltas if inside(d.point)]
     return PiecewiseDist(F.n, pts, pieces, deltas)
 
@@ -845,20 +866,14 @@ def pair_polynomial_test(F, t, interval=(None, None)):
     where both the piece and t are nonzero raises DivergentIntegralError.
     """
     t = as_poly(t)
-    lo, hi = interval
-    lo = None if lo is None else as_point(lo)
-    hi = None if hi is None else as_point(hi)
-    if lo is not None and hi is not None and not lo < hi:
-        raise AlgebraError("empty interval (%s, %s)" % (lo, hi))
-
-    cuts = [p for p in F.breakpoints if (lo is None or lo < p) and (hi is None or p < hi)]
-    bounds = [lo] + cuts + [hi]
+    lo, hi, inside = _open_interval(interval)
+    bounds = [lo] + [p for p in F.breakpoints if inside(p)] + [hi]
     total = Scalar(0)
     for a, b in zip(bounds, bounds[1:]):
         if a is not None:
-            piece = F.pieces[bisect_right(F.breakpoints, a)]
+            piece = F.piece_right_of(a)
         elif b is not None:
-            piece = F.pieces[bisect_left(F.breakpoints, b)]
+            piece = F.piece_left_of(b)
         else:
             piece = F.pieces[0]
         if piece.is_zero or t.is_zero:
@@ -872,7 +887,7 @@ def pair_polynomial_test(F, t, interval=(None, None)):
                 m = j + k + 1
                 total = total + cf * ct * Fraction(b**m - a**m, m)
     for d in F.deltas:
-        if (lo is None or lo < d.point) and (hi is None or d.point < hi):
+        if inside(d.point):
             total = total + d.coeff * t.deriv(d.order).eval(d.point) * (
                 (-1) ** d.order
             )

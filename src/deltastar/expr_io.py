@@ -25,9 +25,14 @@ grammar.  "3/4i" means (3/4)i.
 Syntax errors raise ExprError carrying the character offset (equal to the
 byte offset for this ASCII grammar) and the set of expected tokens.
 
-The record codec is line-oriented: one "key value..." line per field,
-terminated by "end", with scalars in the canonical token form of
-Scalar.token().  encode() output is byte-stable; decode(encode(x)) == x.
+The record codec is line-oriented: a header line, one "key value..."
+line per field, and "end", with scalars in the canonical token form of
+Scalar.token().  For operator specs and self-adjoint classifications
+the lines are the dataclass fields in declaration order (SeparatingSA's
+a_minus... are keyed a-, b-, a+, b+); distributions, boundary-condition
+matrices and NotSelfAdjoint have their own layouts.  A zero denominator
+in any number is an ExprError.  encode() output is byte-stable;
+decode(encode(x)) == x.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .dist_core import (
     PiecewiseDist,
     Poly,
     Scalar,
+    _frac,
     _rat_token,
     _ratio_token,
     constant,
@@ -91,10 +97,11 @@ def _tokenize(text):
             raise ExprError("unexpected character %r" % text[pos], pos)
         if m.lastgroup == "num":
             word = m.group()
-            if word.endswith("i"):
-                toks.append(("imag", Fraction(word[:-1]), pos))
-            else:
-                toks.append(("num", Fraction(word), pos))
+            kind = "imag" if word.endswith("i") else "num"
+            try:
+                toks.append((kind, _frac(word.rstrip("i")), pos))
+            except ValueError as exc:
+                raise ExprError(str(exc), pos) from exc
         elif m.lastgroup == "name":
             word = m.group()
             if word == "i":
@@ -430,6 +437,23 @@ def _tok(s):
     return s.token()
 
 
+# record header -> (class, values per line).  One "key value..." line per
+# dataclass field follows, in declaration order, keyed by _line_key.
+_RECORDS = {
+    "opspec potential": (PointPotential, 1),
+    "opspec pseudo": (PseudoPotential, 4),
+    "opspec deltaprime": (DeltaPrimeFamily, 1),
+    "classification interacting": (InteractingSA, 1),
+    "classification separating": (SeparatingSA, 1),
+}
+_HEADERS = {cls: (head, width) for head, (cls, width) in _RECORDS.items()}
+
+
+def _line_key(name):
+    """Field name as a line key: "a_minus" is written "a-", "b_plus" "b+"."""
+    return name.replace("_minus", "-").replace("_plus", "+")
+
+
 def encode(obj):
     """Line record for a distribution, operator spec, classification or
     boundary-condition matrix.  Output is byte-stable."""
@@ -442,33 +466,13 @@ def encode(obj):
             lines.append(("piece " + " ".join(_tok(c) for c in p.coeffs)).rstrip())
         for d in obj.deltas:
             lines.append("delta %s %d %s" % (_rat_token(d.point), d.order, _tok(d.coeff)))
-    elif isinstance(obj, PointPotential):
-        lines.append("opspec potential")
-        for name in ("c1", "c2", "b1", "b2"):
-            lines.append("%s %s" % (name, _tok(getattr(obj, name))))
-    elif isinstance(obj, PseudoPotential):
-        lines.append("opspec pseudo")
-        for name in ("direct", "after_dx", "dx_after_dx"):
-            lines.append(
-                "%s %s" % (name, " ".join(_tok(c) for c in getattr(obj, name)))
-            )
-    elif isinstance(obj, DeltaPrimeFamily):
-        lines.append("opspec deltaprime")
-        for name in ("c", "d", "e", "f"):
-            lines.append("%s %s" % (name, _tok(getattr(obj, name))))
-    elif isinstance(obj, InteractingSA):
-        lines.append("classification interacting")
-        for name in ("a", "b", "c"):
-            lines.append("%s %s" % (name, _tok(getattr(obj, name))))
-    elif isinstance(obj, SeparatingSA):
-        lines.append("classification separating")
-        for name, field in (
-            ("a-", "a_minus"),
-            ("b-", "b_minus"),
-            ("a+", "a_plus"),
-            ("b+", "b_plus"),
-        ):
-            lines.append("%s %s" % (name, _tok(getattr(obj, field))))
+    elif type(obj) in _HEADERS:
+        head, width = _HEADERS[type(obj)]
+        lines.append(head)
+        for name in obj.__dataclass_fields__:
+            value = getattr(obj, name)
+            text = _tok(value) if width == 1 else " ".join(map(_tok, value))
+            lines.append("%s %s" % (_line_key(name), text))
     elif isinstance(obj, NotSelfAdjoint):
         lines.append("classification not-self-adjoint")
         for row in obj.bc.rows:
@@ -512,16 +516,6 @@ class _Records:
         return self.items[self.k][0] if self.k < len(self.items) else None
 
 
-def _scalar_field(rec, key):
-    name, vals, off = rec.next(key)
-    if len(vals) != 1:
-        raise ExprError("'%s' takes one value" % key, off)
-    try:
-        return parse_scalar(vals[0])
-    except ValueError as exc:
-        raise ExprError(str(exc), off) from exc
-
-
 def _scalar_list(vals, off):
     try:
         return [parse_scalar(v) for v in vals]
@@ -533,17 +527,21 @@ def decode(text):
     """Inverse of encode; dispatches on the first line."""
     rec = _Records(text)
     head, args, off = rec.next()
+    kind = args[0] if args else ""
     try:
         if head == "dist":
             return _decode_dist(rec)
-        if head == "opspec":
-            return _decode_opspec(rec, args, off)
-        if head == "classification":
-            return _decode_classification(rec, args, off)
         if head == "bc":
             return BCMatrix(_decode_rows(rec))
+        if head == "classification" and kind == "not-self-adjoint":
+            return NotSelfAdjoint(BCMatrix(_decode_rows(rec)))
+        record = _RECORDS.get(head + " " + kind)
+        if record is not None:
+            return _decode_fields(rec, *record)
     except AlgebraError as exc:
         raise ExprError(str(exc), off) from exc
+    if head in ("opspec", "classification"):
+        raise ExprError("unknown %s kind '%s'" % (head, kind), off)
     raise ExprError("unknown record '%s'" % head, off)
 
 
@@ -554,7 +552,7 @@ def _decode_dist(rec):
     n = int(vals[0])
     name, vals, off = rec.next("breakpoints")
     try:
-        breakpoints = [Fraction(v) for v in vals]
+        breakpoints = [_frac(v) for v in vals]
     except ValueError as exc:
         raise ExprError(str(exc), off) from exc
     pieces = []
@@ -569,7 +567,7 @@ def _decode_dist(rec):
             if len(vals) != 3:
                 raise ExprError("'delta' takes point, order, coeff", off)
             try:
-                point = Fraction(vals[0])
+                point = _frac(vals[0])
                 order = int(vals[1])
             except ValueError as exc:
                 raise ExprError(str(exc), off) from exc
@@ -580,41 +578,20 @@ def _decode_dist(rec):
     return PiecewiseDist(n, breakpoints, pieces, deltas)
 
 
-def _decode_opspec(rec, args, off):
-    kind = args[0] if args else ""
-    if kind == "potential":
-        fields = [_scalar_field(rec, k) for k in ("c1", "c2", "b1", "b2")]
-        rec.next("end")
-        return PointPotential(*fields)
-    if kind == "pseudo":
-        rows = []
-        for key in ("direct", "after_dx", "dx_after_dx"):
-            _, vals, o = rec.next(key)
-            if len(vals) != 4:
-                raise ExprError("'%s' takes four values" % key, o)
-            rows.append(tuple(_scalar_list(vals, o)))
-        rec.next("end")
-        return PseudoPotential(*rows)
-    if kind == "deltaprime":
-        fields = [_scalar_field(rec, k) for k in ("c", "d", "e", "f")]
-        rec.next("end")
-        return DeltaPrimeFamily(*fields)
-    raise ExprError("unknown opspec kind '%s'" % kind, off)
-
-
-def _decode_classification(rec, args, off):
-    kind = args[0] if args else ""
-    if kind == "interacting":
-        fields = [_scalar_field(rec, k) for k in ("a", "b", "c")]
-        rec.next("end")
-        return InteractingSA(*fields)
-    if kind == "separating":
-        fields = [_scalar_field(rec, k) for k in ("a-", "b-", "a+", "b+")]
-        rec.next("end")
-        return SeparatingSA(*fields)
-    if kind == "not-self-adjoint":
-        return NotSelfAdjoint(BCMatrix(_decode_rows(rec)))
-    raise ExprError("unknown classification kind '%s'" % kind, off)
+def _decode_fields(rec, cls, width):
+    values = []
+    for name in cls.__dataclass_fields__:
+        key = _line_key(name)
+        _, vals, off = rec.next(key)
+        if len(vals) != width:
+            raise ExprError(
+                "'%s' takes %s" % (key, "one value" if width == 1 else "four values"),
+                off,
+            )
+        row = _scalar_list(vals, off)
+        values.append(row[0] if width == 1 else tuple(row))
+    rec.next("end")
+    return cls(*values)
 
 
 def _decode_rows(rec):

@@ -42,7 +42,7 @@ from .boundary_ops import (
     PseudoPotential,
     constraint_rows,
 )
-from .dist_core import Scalar, as_scalar
+from .dist_core import Scalar, as_scalar, coerce_scalar_fields
 
 _ZERO = Scalar(0)
 _ONE = Scalar(1)
@@ -206,9 +206,7 @@ class InteractingSA:
     b: Scalar
     c: Scalar
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
+    __post_init__ = coerce_scalar_fields
 
 
 @dataclass(frozen=True)
@@ -224,9 +222,7 @@ class SeparatingSA:
     a_plus: Scalar
     b_plus: Scalar
 
-    def __post_init__(self):
-        for name in ("a_minus", "b_minus", "a_plus", "b_plus"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
+    __post_init__ = coerce_scalar_fields
 
 
 @dataclass(frozen=True)
@@ -355,17 +351,14 @@ class NotRepresentable:
 def interacting_pseudo(a, b, c):
     """PseudoPotential realizing the general interacting conditions.
 
-    Built as c*sum - b*(sum o D) + a*(D o sum o D) + conj(b)*(D o sum)
-    where sum is the order-0 sided-delta sum; its constraint rows are
-    exactly [-c, -c, b-1, b+1] and [conj(b)+1, conj(b)-1, a, a].
+    represent_from_bc of the rows [c, c, 1-b, -1-b] and
+    [conj(b)+1, conj(b)-1, a, a]: that is c*sum - b*(sum o D) +
+    a*(D o sum o D) + conj(b)*(D o sum), where sum is the order-0
+    sided-delta sum.
     """
     a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
     bb = b.conjugate()
-    return PseudoPotential(
-        (c, c, bb, bb),
-        (bb - b, bb - b, _ZERO, _ZERO),
-        (a, a, _ZERO, _ZERO),
-    )
+    return represent_from_bc((c, c, 1 - b, -1 - b), (bb + 1, bb - 1, a, a))
 
 
 def represent_interacting(a, b, c):

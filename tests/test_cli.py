@@ -72,7 +72,8 @@ def test_product_regularity_cap_exits_2(capsys):
 
 
 def test_product_hostile_inputs_exit_2(capsys):
-    for expr in ("piece(0,1: x^100000000)", "(" * 3000 + "1" + ")" * 3000):
+    for expr in ("piece(0,1: x^100000000)", "(" * 3000 + "1" + ")" * 3000,
+                 "1/0", "delta(1/0)"):
         rc, out, err = run(capsys, "product", expr)
         assert rc == 2
         assert err.startswith("parse error:") and out == ""
@@ -99,6 +100,13 @@ def test_classify_not_self_adjoint(capsys):
 def test_classify_bad_scalar_exits_2(capsys):
     rc, out, err = run(capsys, "classify", "--c1", "abc")
     assert rc == 2
+    # a zero denominator is malformed input, not a division
+    for argv in (["classify", "--c1", "1/0"],
+                 ["represent", "--interacting", "1/0,0,0"],
+                 ["weaklimit", "--dist", "piece(0,1:x)", "--test", "1/0"]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("parse error: zero denominator"), err
 
 
 def test_represent_interacting_round_trip(capsys):
@@ -226,6 +234,13 @@ def test_values_past_the_float_range_exit_3(capsys):
         rc, out, err = run(capsys, *argv)
         assert rc == 3 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_grid_takes_three_values(capsys):
+    for grid in ("0.05,20", "0.05,20,4000,1"):
+        rc, out, err = run(capsys, "spectrum", "--delta", "-2", "--grid", grid)
+        assert rc == 2 and out == ""
+        assert err == "parse error: --grid takes EPS,L,N at offset 0\n"
 
 
 def test_spectrum_has_no_kappa_grid_flags(capsys):

@@ -173,6 +173,10 @@ def test_codec_rejects_malformed_records():
         "opspec bogus\nend\n",       # unknown kind
         "dist\nn 1\npiece\n",        # wrong line order
         "classification maybe\nend\n",
+        "bc\nrow 1/0 0 0 0\nend\n",  # zero denominators
+        "dist\nn 0\nbreakpoints 1/0\npiece 0\npiece 0\nend\n",
+        "dist\nn 0\nbreakpoints\npiece 0\ndelta 0/0 0 1\nend\n",
+        "opspec potential\nc1 1/0i\nc2 0\nb1 0\nb2 0\nend\n",
     ):
         with pytest.raises(ExprError):
             decode(bad)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltastar import Scalar
 from deltastar.boundary_ops import PreconditionError
@@ -210,6 +211,35 @@ def test_spectral_identities_on_the_oracle_corpus():
                  delta_prime_interaction("1i")):
         assert not self_adjoint_by_definition(extract_bc(spec))
         assert spectral_identities(extract_bc(spec)) != (True, True), spec
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(h00=_RATIONALS, h11=_RATIONALS, h01_re=_RATIONALS, h01_im=_RATIONALS)
+def test_spectral_identities_on_cayley_rows(h00, h11, h01_re, h01_im):
+    # Kostrykin-Schrader: for a unitary U the rows A = U - I, B = i(U + I),
+    # written (A_i0, A_i1, B_i0, -B_i1), are self-adjoint conditions.  U is
+    # the Cayley transform (I + iH)(I - iH)^-1 of a rational Hermitian H.
+    i = Scalar(0, 1)
+    h01 = Scalar(h01_re, h01_im)
+    H = ((Scalar(h00), h01), (h01.conjugate(), Scalar(h11)))
+    P = [[(j == k) + i * H[j][k] for k in range(2)] for j in range(2)]
+    M = [[(j == k) - i * H[j][k] for k in range(2)] for j in range(2)]
+    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    M_inv = ((M[1][1] / det, -M[0][1] / det), (-M[1][0] / det, M[0][0] / det))
+    U = [[P[j][0] * M_inv[0][k] + P[j][1] * M_inv[1][k] for k in range(2)]
+         for j in range(2)]
+    rows = []
+    for j in range(2):
+        A = [U[j][k] - (j == k) for k in range(2)]
+        B = [i * (U[j][k] + (j == k)) for k in range(2)]
+        rows.append((A[0], A[1], B[0], -B[1]))
+    bc = BCMatrix(rows)
+    assert bc.self_adjoint
+    assert self_adjoint_by_definition(bc)
+    assert spectral_identities(bc) == (True, True)
 
 
 def test_classify_real_case_formulas():
