@@ -54,7 +54,7 @@ _ZERO4 = (_ZERO,) * 4
 def _row(entries):
     row = tuple(map(as_scalar, entries))
     if len(row) != 4:
-        raise ValueError("jet rows have exactly four entries")
+        raise ValueError("rows have exactly four entries")
     return row
 
 
@@ -290,11 +290,7 @@ class PseudoPotential:
 
     def __post_init__(self):
         for name in ("direct", "after_dx", "dx_after_dx"):
-            value = getattr(self, name)
-            row = tuple(as_scalar(e) for e in value)
-            if len(row) != 4:
-                raise ValueError("%s must have four entries" % name)
-            object.__setattr__(self, name, row)
+            object.__setattr__(self, name, _row(getattr(self, name)))
         for name in ("after_dx", "dx_after_dx"):
             row = getattr(self, name)
             if not (row[2].is_zero and row[3].is_zero):

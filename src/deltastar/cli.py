@@ -32,7 +32,6 @@ from .schrodinger import (
     ConjugatePairFamily,
     NotRepresentable,
     OppositeSignFamily,
-    SeparatingFamily,
     check_potential_representable_B3_zero,
     classify,
     delta_prime_interaction,
@@ -91,15 +90,11 @@ def _cmd_product(args):
     return payload, [text]
 
 
-def _spec_annotations(bc):
-    notes = {}
-    jump = match_continuity_jump(bc)
-    if jump is not None:
-        notes["jump"] = jump.token()
-    theta = match_theta_jump(bc)
-    if theta is not None:
-        notes["theta"] = theta.token()
-    return notes
+def _special_forms(bc):
+    """{"jump": a, "theta": theta} for each special form the conditions
+    take: continuity with derivative jump a, or theta scaling."""
+    forms = {"jump": match_continuity_jump(bc), "theta": match_theta_jump(bc)}
+    return {name: v for name, v in forms.items() if v is not None}
 
 
 def _cmd_classify(args):
@@ -112,7 +107,7 @@ def _cmd_classify(args):
     record = encode(classify(spec))
     bc = extract_bc(spec)
     bc_record = encode(bc)
-    notes = _spec_annotations(bc)
+    notes = {name: v.token() for name, v in _special_forms(bc).items()}
     payload = {
         "status": "ok",
         # the header line reads "classification <kind>"
@@ -142,53 +137,46 @@ def _represent_payload(family, specs, notes, params=None):
     return payload, lines
 
 
+def _given(text):
+    """An override flag's scalar; None when it is absent or empty."""
+    return parse_scalar(text) if text else None
+
+
 def _cmd_represent(args):
-    if args.interacting:
-        a, b, c = _scalars(args.interacting, 3, "--interacting")
-        fam = represent_interacting(a, b, c)
-        if isinstance(fam, NotRepresentable):
-            return _represent_payload(
-                "pseudo-only", [fam.pseudo], [fam.reason]
-            )
-        if isinstance(fam, OppositeSignFamily):
-            spec = fam.spec(
-                parse_scalar(args.b1) if args.b1 else 0,
-                parse_scalar(args.c1) if args.c1 else None,
-            )
-            return _represent_payload(
-                "opposite-sign", [spec], [],
-                {"c": fam.c.token()},
-            )
-        spec = fam.spec(parse_scalar(args.k1) if args.k1 else None)
-        params = {
-            k: getattr(fam, k).token() for k in ("b", "c", "b1", "b2", "x1", "x2")
-        }
+    if args.bc is not None:
+        return _represent_bc(args.bc)
+    if args.interacting is not None:
+        fam = represent_interacting(
+            *_scalars(args.interacting, 3, "--interacting"))
+    else:
+        fam = represent_separating(
+            *_scalars(args.separating, 4, "--separating"))
+    if isinstance(fam, NotRepresentable):
+        return _represent_payload("pseudo-only", [fam.pseudo], [fam.reason])
+    if isinstance(fam, OppositeSignFamily):
+        spec = fam.spec(_given(args.b1) or 0, _given(args.c1))
+        return _represent_payload(
+            "opposite-sign", [spec], [], {"c": fam.c.token()})
+    if isinstance(fam, ConjugatePairFamily):
+        spec = fam.spec(_given(args.k1))
+        params = {name: getattr(fam, name).token()
+                  for name in ConjugatePairFamily.__dataclass_fields__}
         return _represent_payload("conjugate-pair", [spec], [], params)
+    spec = fam.spec(_given(args.c1), _given(args.c2))
+    params = {
+        "b1": fam.b1.token(),
+        "b2": fam.b2.token(),
+        "free": ",".join(fam.free) or "none",
+    }
+    return _represent_payload("separating", [spec], [], params)
 
-    if args.separating:
-        am, bm, ap, bp = _scalars(args.separating, 4, "--separating")
-        fam = represent_separating(am, bm, ap, bp)
-        if isinstance(fam, NotRepresentable):
-            return _represent_payload(
-                "pseudo-only", [fam.pseudo], [fam.reason]
-            )
-        spec = fam.spec(
-            parse_scalar(args.c1) if args.c1 else None,
-            parse_scalar(args.c2) if args.c2 else None,
-        )
-        params = {
-            "b1": fam.b1.token(),
-            "b2": fam.b2.token(),
-            "free": ",".join(fam.free) or "none",
-        }
-        return _represent_payload("separating", [spec], [], params)
 
-    rows = _bc_rows(args.bc)
+def _represent_bc(text):
+    rows = _bc_rows(text)
     bc = BCMatrix(rows)
     if bc.rank != 2:
         raise PreconditionError("--bc rows must be independent (rank 2)")
-    pseudo = represent_from_bc(rows[0], rows[1])
-    specs = [pseudo]
+    specs = [represent_from_bc(*rows)]
     notes = []
     ok, witness = check_potential_representable_B3_zero(bc)
     if not ok:
@@ -196,29 +184,30 @@ def _cmd_represent(args):
             "not representable as a potential: derivative block det %s"
             % witness.det.token()
         )
-    jump = match_continuity_jump(bc)
-    if jump is not None:
-        specs.append(delta_well(jump))
-        notes.append("continuity with jump %s" % jump.token())
-    theta = match_theta_jump(bc)
-    if theta is not None and theta != 0 and theta != -1:
+    forms = _special_forms(bc)
+    if "jump" in forms:
+        specs.append(delta_well(forms["jump"]))
+        notes.append("continuity with jump %s" % forms["jump"].token())
+    theta = forms.get("theta")
+    if theta is not None and theta != -1:
         specs.append(delta_prime_interaction(theta))
         notes.append("theta conditions with theta %s" % theta.token())
-    dshapes = dirichlet_specs()
-    if bc.row_equivalent(extract_bc(dshapes[1])):
-        specs.append(dshapes[1])
+    plain = dirichlet_specs()[1]
+    if bc.row_equivalent(extract_bc(plain)):
+        specs.append(plain)
         notes.append("double Dirichlet point form")
     return _represent_payload("from-bc", specs, notes)
 
 
 def _operator_bc(args):
-    if args.delta:
+    # an empty value still selects its flag: "--delta=" is a parse error
+    if args.delta is not None:
         return extract_bc(delta_well(parse_scalar(args.delta)))
-    if args.theta:
+    if args.theta is not None:
         return extract_bc(delta_prime_interaction(parse_scalar(args.theta)))
-    if args.potential:
+    if args.potential is not None:
         return extract_bc(PointPotential(*_scalars(args.potential, 4, "--potential")))
-    if args.deltaprime:
+    if args.deltaprime is not None:
         return extract_bc(DeltaPrimeFamily(*_scalars(args.deltaprime, 4, "--deltaprime")))
     return BCMatrix(_bc_rows(args.bc))
 
@@ -262,7 +251,7 @@ def _cmd_spectrum(args):
         eps, L, N = grid
         strength = args.strength
         if strength is None:
-            if not args.delta:
+            if args.delta is None:
                 raise PreconditionError(
                     "--grid needs --strength unless the operator is --delta"
                 )

@@ -29,6 +29,7 @@ defined and agrees with star there.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import comb, gcd
@@ -58,12 +59,23 @@ class DivergentIntegralError(AlgebraError):
 # scalars
 
 
+# Fraction computes 10**exponent for "1e<exponent>"; past Python's default
+# 4300-digit limit for int text, Scalar.token could not print it anyway
+_EXPONENT_CAP = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def _frac(x):
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        m = _EXPONENT.search(x)
+        if m:
+            digits = m.group(1).replace("_", "")
+            if len(digits) > _EXPONENT_CAP or int(digits or 0) > _EXPONENT_CAP:
+                raise ValueError("exponent too large in %r" % x)
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -539,8 +551,8 @@ class PiecewiseDist:
                     "delta order %d not allowed at regularity index %d"
                     % (d.order, n)
                 )
-            if d.point not in pts:
-                k = bisect_left(pts, d.point)
+            k = bisect_left(pts, d.point)
+            if k == len(pts) or pts[k] != d.point:
                 pts.insert(k, d.point)
                 ps.insert(k, ps[k])
 

@@ -149,12 +149,17 @@ class _Parser:
         sign = 1
         if self.peek()[0] in ("+", "-"):
             sign = -1 if self.next()[0] == "-" else 1
-        out = self.term() * sign
+        terms = [self.term() * sign]
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
             t = self.term()
-            out = out + t if op == "+" else out - t
-        return out
+            terms.append(t if op == "+" else -t)
+        # add in pairs: each sum then merges parts of similar size, where
+        # a running sum would rebuild the whole of it once per term
+        while len(terms) > 1:
+            pairs = [a + b for a, b in zip(terms[::2], terms[1::2])]
+            terms = pairs + terms[2 * len(pairs):]
+        return terms[0]
 
     def term(self):
         out = self.atom()

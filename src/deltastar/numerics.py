@@ -88,35 +88,24 @@ def _tanh_sinh(f, a, b):
 
 # 1 / integral of exp(-1/(1-x^2)) over (-1, 1), 1/0.44399381616807943...
 _BUMP_NORM = 2.252283621043581
-_bump_poly_cache = [[Fraction(1)]]
+_bump_poly_cache = [[1]]
 
 
 def _bump_poly(order):
-    """Numerator of the rational prefactor in the order-th derivative.
+    """Integer coefficients of the numerator in the order-th derivative.
 
     d^k/dx^k exp(-1/(1-x^2)) = P_k(x)/(1-x^2)^(2k) * exp(-1/(1-x^2)),
-    with P_{k+1} = (P_k'(1-x^2) + 4k x P_k)(1-x^2) - 2x P_k, kept exact.
+    with P_{k+1} = (1-x^2)^2 P_k' + ((4k-2)x - 4k x^3) P_k, whose x^j
+    coefficient is (j+1) p_{j+1} + (4k-2j) p_{j-1} + (j-3-4k) p_{j-3}.
     """
     while len(_bump_poly_cache) <= order:
         k = len(_bump_poly_cache) - 1
-        p = _bump_poly_cache[-1]
-
-        def times_x(c):
-            return [Fraction(0)] + c
-
-        def minus_x2(c):  # c * (1 - x^2)
-            out = c + [Fraction(0), Fraction(0)]
-            for j, a in enumerate(c):
-                out[j + 2] -= a
-            return out
-
-        dp = [j * a for j, a in enumerate(p)][1:] or [Fraction(0)]
-        inner = minus_x2(dp)
-        for j, a in enumerate(times_x(p)):
-            inner[j] += 4 * k * a
-        nxt = minus_x2(inner)
-        for j, a in enumerate(times_x(p)):
-            nxt[j] -= 2 * a
+        p = [0] * 3 + _bump_poly_cache[-1] + [0] * 4  # p[j + 3] is p_j
+        nxt = [
+            (j + 1) * p[j + 4] + (4 * k - 2 * j) * p[j + 2]
+            + (j - 3 - 4 * k) * p[j]
+            for j in range(len(p) - 4)
+        ]
         while len(nxt) > 1 and not nxt[-1]:
             nxt.pop()
         _bump_poly_cache.append(nxt)

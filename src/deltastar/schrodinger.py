@@ -40,6 +40,7 @@ from .boundary_ops import (
     PointPotential,
     PreconditionError,
     PseudoPotential,
+    _row,
     constraint_rows,
 )
 from .dist_core import Scalar, as_scalar, coerce_scalar_fields
@@ -47,13 +48,6 @@ from .dist_core import Scalar, as_scalar, coerce_scalar_fields
 _ZERO = Scalar(0)
 _ONE = Scalar(1)
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _row4(entries):
-    row = tuple(map(as_scalar, entries))
-    if len(row) != 4:
-        raise ValueError("boundary rows have four entries")
-    return row
 
 
 def _rref(rows):
@@ -99,12 +93,7 @@ class BCMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        kept = []
-        for r in rows:
-            row = _row4(r)
-            if any(row):
-                kept.append(row)
-        self.rows = tuple(kept)
+        self.rows = tuple(row for row in map(_row, rows) if any(row))
 
     def reduced(self):
         return _rref(self.rows)
@@ -480,8 +469,7 @@ def represent_from_bc(f1, f2):
     the derivative of f2 against psi, so extract_bc returns rows
     (-f1, f2) — the same row space as [f1; f2].
     """
-    f1 = _row4(f1)
-    f2 = _row4(f2)
+    f1, f2 = _row(f1), _row(f2)
     direct = (f1[0], f1[1], f2[0] - _ONE, f2[1] + _ONE)
     after_dx = (f1[2] - 2 + f2[0], f1[3] + 2 + f2[1], _ZERO, _ZERO)
     dx_after_dx = (f2[2], f2[3], _ZERO, _ZERO)
@@ -603,12 +591,9 @@ def sesquilinear_form(spec_or_classification, psi, phi):
 
 def unconstrained_spec():
     """The perturbation whose constraint rows vanish identically: it
-    cancels the boundary term of the maximal operator exactly."""
-    return PseudoPotential(
-        (_ZERO, _ZERO, -_ONE, _ONE),
-        (-2, 2, _ZERO, _ZERO),
-        (_ZERO,) * 4,
-    )
+    cancels the boundary term of the maximal operator exactly, which is
+    represent_from_bc of two zero rows."""
+    return represent_from_bc((0,) * 4, (0,) * 4)
 
 
 def delta_well(a):

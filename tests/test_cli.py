@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shlex
@@ -5,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import deltastar
 from deltastar import delta_dist
@@ -100,13 +103,44 @@ def test_classify_not_self_adjoint(capsys):
 def test_classify_bad_scalar_exits_2(capsys):
     rc, out, err = run(capsys, "classify", "--c1", "abc")
     assert rc == 2
-    # a zero denominator is malformed input, not a division
-    for argv in (["classify", "--c1", "1/0"],
-                 ["represent", "--interacting", "1/0,0,0"],
-                 ["weaklimit", "--dist", "piece(0,1:x)", "--test", "1/0"]):
+    # a zero denominator is malformed input, not a division; an exponent
+    # past 4300 would have Fraction compute 10**exponent; an empty value
+    # still selects its flag
+    for argv, message in (
+        (["classify", "--c1", "1/0"], "zero denominator"),
+        (["represent", "--interacting", "1/0,0,0"], "zero denominator"),
+        (["weaklimit", "--dist", "piece(0,1:x)", "--test", "1/0"],
+         "zero denominator"),
+        (["classify", "--c1", "1e20000000"], "exponent too large"),
+        (["classify", "--c1", "1e-4301"], "exponent too large"),
+        (["represent", "--interacting=1e20000000,0,0"], "exponent too large"),
+        (["spectrum", "--theta="], "empty scalar token"),
+        (["spectrum", "--delta="], "empty scalar token"),
+        (["scatter", "--potential="], "--potential takes 4"),
+        (["spectrum", "--deltaprime="], "--deltaprime takes 4"),
+        (["represent", "--interacting="], "--interacting takes 3"),
+        (["represent", "--separating="], "--separating takes 4"),
+    ):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == ""
-        assert err.startswith("parse error: zero denominator"), err
+        assert err.startswith("parse error: " + message), err
+
+
+def test_huge_exponent_exits_2_fast():
+    # a fresh process, killed at the bound: 10**20000000 is never built
+    done = fresh("-m", "deltastar", "classify", "--c1", "1e20000000")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (
+        "parse error: exponent too large in '1e20000000'\n")
+
+
+def test_long_sum_parses_fast():
+    # a fresh process, killed at the bound: a running sum re-merged every
+    # breakpoint once per term, cubic in the number of terms
+    expr = "+".join("delta(%d)" % k for k in range(2000))
+    done = fresh("-m", "deltastar", "product", expr)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == " + ".join("delta(%d)" % k for k in range(2000)) + "\n"
 
 
 def test_represent_interacting_round_trip(capsys):
@@ -392,3 +426,97 @@ def test_grid_without_numpy_exits_3():
     done = fresh("-c", _GRID_WITHOUT_NUMPY)
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr == "error: spectrum --grid needs numpy and scipy\n"
+
+
+# -- fuzz: every argument vector ends in exit 0, 2 or 3 ---------------------
+
+def _mostly(good, bad):
+    """One of the values, a bad one about one time in four."""
+    return st.sampled_from(good * 3 + bad)
+
+
+def _joined(part, sep, count):
+    """count parts; none, one more or one fewer about one time in three."""
+    return st.sampled_from((count,) * 6 + (0, count - 1, count + 1)).flatmap(
+        lambda k: st.lists(part, min_size=k, max_size=k).map(sep.join))
+
+
+_SCALAR = _mostly(
+    ("0", "1", "-1", "1/2", "-3/4", "2i", "1-1/2i", "-i", "1/3+2i", "1e5"),
+    ("", "1/0", "1e99999999", "-1e200", "abc", "1.5/2", " "))
+_ATOM = _mostly(
+    ("delta(0)", "delta'(1/2)", "delta^2(-1)", "heaviside(0)",
+     "piece(-1,1: 1 - x + 2x^2)", "piece(0,inf: 1+x)", "D(heaviside(0))",
+     "3/4", "2i", "delta^99999999999999999999(0)"),
+    ("x", "1/0", "delta(1/0)", "piece(0,1: x^100000000)", "(",
+     "piece(1,0: x)", ""))
+_EXPR = st.lists(_ATOM, min_size=1, max_size=4).flatmap(
+    lambda atoms: st.lists(st.sampled_from("+-*"), min_size=len(atoms) - 1,
+                           max_size=len(atoms) - 1).map(
+        lambda ops: atoms[0] + "".join(o + a for o, a in zip(ops, atoms[1:]))))
+_FLOATS = _joined(_mostly(("1", "0.5", "2", "0.05", "3"),
+                          ("0", "-1", "1e-300", "1e308", "inf", "nan", "x", "")),
+                  ",", 2)
+# a grid size is drawn apart from the other floats: N is not capped yet,
+# and N = 1e9 would have numpy allocate gigabytes before any check
+_GRID = st.tuples(_mostly(("0.5", "1"), ("0.05", "0", "-1", "inf", "nan", "x")),
+                  _mostly(("5", "10"), ("0", "-1", "inf", "1e308", "x")),
+                  _mostly(("50", "200"), ("0", "-5", "2.5", "inf", "nan", "x")),
+                  ).map(",".join)
+_ROWS = _joined(_joined(_SCALAR, ",", 4), ";", 2)
+
+
+def _flag(name, values):
+    return values.map(("--%s=" % name).__add__)
+
+
+def _flags(*flags):
+    """Each flag present or not, in a drawn order."""
+    return st.tuples(*(st.one_of(st.just([]), f.map(lambda a: [a]))
+                       for f in flags)).map(lambda fs: sum(fs, [])).flatmap(
+        st.permutations)
+
+
+_OPERATOR = st.one_of(
+    _flag("delta", _SCALAR), _flag("theta", _SCALAR),
+    _flag("potential", _joined(_SCALAR, ",", 4)),
+    _flag("deltaprime", _joined(_SCALAR, ",", 4)), _flag("bc", _ROWS),
+).map(lambda flag: [flag])
+
+_ARGV = st.one_of(
+    st.tuples(st.just(["product"]), _EXPR.map(lambda e: [e]),
+              _flags(_flag("n-cap", st.sampled_from(("0", "1", "2", "-1"))))),
+    st.tuples(st.just(["classify"]),
+              _flags(*(_flag(n, _SCALAR) for n in ("c1", "c2", "b1", "b2")))),
+    st.tuples(st.just(["represent"]), st.one_of(
+        _flag("interacting", _joined(_SCALAR, ",", 3)),
+        _flag("separating", _joined(_SCALAR, ",", 4)),
+        _flag("bc", _ROWS)).map(lambda flag: [flag]),
+        _flags(*(_flag(n, _SCALAR) for n in ("k1", "b1", "c1", "c2")))),
+    st.tuples(st.just(["scatter"]), _OPERATOR, _flags(_flag("k", _FLOATS))),
+    st.tuples(st.just(["spectrum"]), _OPERATOR, _flags(
+        _flag("grid", _GRID), _flag("strength", _FLOATS),
+        _flag("levels", st.sampled_from(("1", "2", "0", "-1"))))),
+    st.tuples(st.just(["weaklimit"]), _flag("dist", _EXPR).map(lambda a: [a]),
+              _flags(_flag("test", _mostly(("1", "1-x", "x^2+2i"),
+                                           ("", "1/0", "abc"))),
+                     _flag("order", st.sampled_from(("0", "1", "2"))),
+                     _flag("side", st.sampled_from(("left", "right", "up"))),
+                     _flag("eps", _FLOATS))),
+    st.sampled_from((["spectrum"], ["--help"], ["nosuch"], ["product"],
+                     ["product", "delta(0)", "--bogus"])).map(lambda a: (a,)),
+).flatmap(lambda parts: st.booleans().map(
+    lambda json: sum(parts, []) + ["--format=json"] * json))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=_ARGV)
+def test_cli_fuzz_exits_0_2_or_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            rc = exc.code
+    assert rc in (0, 2, 3), (argv, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()

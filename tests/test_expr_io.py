@@ -177,6 +177,8 @@ def test_codec_rejects_malformed_records():
         "dist\nn 0\nbreakpoints 1/0\npiece 0\npiece 0\nend\n",
         "dist\nn 0\nbreakpoints\npiece 0\ndelta 0/0 0 1\nend\n",
         "opspec potential\nc1 1/0i\nc2 0\nb1 0\nb2 0\nend\n",
+        "bc\nrow 1e30000000 0 0 0\nend\n",  # exponents past 4300
+        "dist\nn 0\nbreakpoints 1e-30000000\npiece 0\npiece 0\nend\n",
     ):
         with pytest.raises(ExprError):
             decode(bad)
