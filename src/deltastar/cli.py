@@ -32,6 +32,7 @@ from .schrodinger import (
     ConjugatePairFamily,
     NotRepresentable,
     OppositeSignFamily,
+    SeparatingFamily,
     check_potential_representable_B3_zero,
     classify,
     delta_prime_interaction,
@@ -65,7 +66,7 @@ def _bc_rows(text):
 
 def _floats(text, what):
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        return [float(p) for p in text.split(",")]
     except ValueError:
         raise ExprError("%s takes comma-separated numbers" % what) from None
 
@@ -137,14 +138,31 @@ def _represent_payload(family, specs, notes, params=None):
     return payload, lines
 
 
-def _given(text):
-    """An override flag's scalar; None when it is absent or empty."""
-    return parse_scalar(text) if text else None
+# family type -> (printed name, the overrides its spec() takes); its
+# other fields are printed as params
+_FAMILIES = {
+    OppositeSignFamily: ("opposite-sign", ("b1", "c1")),
+    ConjugatePairFamily: ("conjugate-pair", ("k1",)),
+    SeparatingFamily: ("separating", ("c1", "c2")),
+}
+
+
+def _overrides(args, family, takes=()):
+    """The given overrides as scalars, refusing one the family does not
+    take; an empty one ("--b1=") is not given."""
+    given = [name for name in ("k1", "b1", "c1", "c2") if getattr(args, name)]
+    for name in given:
+        if name not in takes:
+            raise PreconditionError(
+                "family %s takes no --%s override" % (family, name))
+    return {name: parse_scalar(getattr(args, name)) for name in given}
 
 
 def _cmd_represent(args):
     if args.bc is not None:
-        return _represent_bc(args.bc)
+        out = _represent_bc(args.bc)
+        _overrides(args, "from-bc")
+        return out
     if args.interacting is not None:
         fam = represent_interacting(
             *_scalars(args.interacting, 3, "--interacting"))
@@ -152,23 +170,15 @@ def _cmd_represent(args):
         fam = represent_separating(
             *_scalars(args.separating, 4, "--separating"))
     if isinstance(fam, NotRepresentable):
+        _overrides(args, "pseudo-only")
         return _represent_payload("pseudo-only", [fam.pseudo], [fam.reason])
-    if isinstance(fam, OppositeSignFamily):
-        spec = fam.spec(_given(args.b1) or 0, _given(args.c1))
-        return _represent_payload(
-            "opposite-sign", [spec], [], {"c": fam.c.token()})
-    if isinstance(fam, ConjugatePairFamily):
-        spec = fam.spec(_given(args.k1))
-        params = {name: getattr(fam, name).token()
-                  for name in ConjugatePairFamily.__dataclass_fields__}
-        return _represent_payload("conjugate-pair", [spec], [], params)
-    spec = fam.spec(_given(args.c1), _given(args.c2))
-    params = {
-        "b1": fam.b1.token(),
-        "b2": fam.b2.token(),
-        "free": ",".join(fam.free) or "none",
-    }
-    return _represent_payload("separating", [spec], [], params)
+    name, takes = _FAMILIES[type(fam)]
+    spec = fam.spec(**_overrides(args, name, takes))
+    params = {f: getattr(fam, f) for f in fam.__dataclass_fields__
+              if f not in takes}
+    params = {f: ",".join(v) if isinstance(v, tuple) else v.token()
+              for f, v in params.items()}
+    return _represent_payload(name, [spec], [], params)
 
 
 def _represent_bc(text):
@@ -223,16 +233,10 @@ def _cmd_scatter(args):
     rows = []
     for k in _floats(args.k, "--k"):
         s = scattering(bc, k)
-        rows.append([
-            _fnum(s.k),
-            _fnum(s.r_left),
-            _fnum(s.t_left),
-            _fnum(s.r_right),
-            _fnum(s.t_right),
-            "nan" if s.singular else _fnum(abs(s.r_left) ** 2),
-            "nan" if s.singular else _fnum(abs(s.t_left) ** 2),
-            "1" if s.singular else "0",
-        ])
+        # a singular row's amplitudes are NaN, so its squares print nan too
+        cells = (s.k, s.r_left, s.t_left, s.r_right, s.t_right,
+                 abs(s.r_left) ** 2, abs(s.t_left) ** 2)
+        rows.append([_fnum(c) for c in cells] + ["1" if s.singular else "0"])
     return _table(
         ["k", "r_left", "t_left", "r_right", "t_right",
          "refl_left", "trans_left", "singular"],
@@ -244,11 +248,16 @@ def _cmd_spectrum(args):
     bc = _operator_bc(args)
     energies = bound_states(bc)
     rows = [["bound", str(i), _fnum(e)] for i, e in enumerate(energies)]
-    if args.grid:
+    if args.grid is None:
+        if args.strength is not None or args.levels is not None:
+            raise ExprError("--strength and --levels do nothing without --grid")
+    else:
         grid = _floats(args.grid, "--grid")
         if len(grid) != 3:
             raise ExprError("--grid takes EPS,L,N")
         eps, L, N = grid
+        if not N.is_integer():
+            raise PreconditionError("--grid N=%g is not a whole number" % N)
         strength = args.strength
         if strength is None:
             if args.delta is None:
@@ -272,7 +281,8 @@ def _cmd_spectrum(args):
             return strength * bump(x / eps) / eps
 
         ham = grid_hamiltonian(L, n, potential if strength else None)
-        for i, e in enumerate(grid_eigenvalues(ham, args.levels)):
+        levels = 1 if args.levels is None else args.levels
+        for i, e in enumerate(grid_eigenvalues(ham, levels)):
             rows.append(["grid", str(i), _fnum(e)])
     return _table(["source", "index", "energy"], rows)
 
@@ -349,7 +359,7 @@ def build_parser():
     p.add_argument("--strength", type=float, default=None,
                    help="coupling of the mollified delta on the grid "
                         "(defaults to the --delta strength)")
-    p.add_argument("--levels", type=int, default=1,
+    p.add_argument("--levels", type=int, default=None,
                    help="grid eigenvalues to print")
     common(p)
     p.set_defaults(func=_cmd_spectrum)

@@ -421,11 +421,8 @@ class Poly:
             return NotImplemented
         return Poly([c * s for c in self.coeffs])
 
-    def __rmul__(self, other):
-        s = as_scalar_or_none(other)
-        if s is None:
-            return NotImplemented
-        return Poly([s * c for c in self.coeffs])
+    # only a scalar reaches the reflected product, and scalars commute
+    __rmul__ = __mul__
 
     def deriv(self, k=1):
         cs = self.coeffs
@@ -638,11 +635,7 @@ class PiecewiseDist:
             return NotImplemented
         return scale(s, self)
 
-    def __rmul__(self, other):
-        s = as_scalar_or_none(other)
-        if s is None:
-            return NotImplemented
-        return scale(s, self)
+    __rmul__ = __mul__
 
 
 def canonicalize(n, breakpoints=(), pieces=None, deltas=()):
@@ -697,11 +690,15 @@ def indicator(lo, hi, poly=1, n=0):
 # -- linear structure --------------------------------------------------------
 
 
-def add(F, G):
-    n = max(F.n, G.n)
+def _joint(F, G):
+    """The joint regularity index and merged breakpoints of F and G, and
+    the pieces of each over those breakpoints."""
     pts = sorted(set(F.breakpoints) | set(G.breakpoints))
-    fs = F.pieces_over(pts)
-    gs = G.pieces_over(pts)
+    return max(F.n, G.n), pts, F.pieces_over(pts), G.pieces_over(pts)
+
+
+def add(F, G):
+    n, pts, fs, gs = _joint(F, G)
     return PiecewiseDist(
         n, pts, [a + b for a, b in zip(fs, gs)], F.deltas + G.deltas
     )
@@ -792,23 +789,16 @@ def star(F, G):
     expansion only samples jets of order <= n, which agree across
     breakpoints at matched points.
     """
-    n = max(F.n, G.n)
-    pts = sorted(set(F.breakpoints) | set(G.breakpoints))
-    fs = F.pieces_over(pts)
-    gs = G.pieces_over(pts)
+    n, pts, fs, gs = _joint(F, G)
     deltas = []
-    for d in F.deltas:
-        i = bisect_left(pts, d.point)
-        deltas += [
-            DeltaTerm(t.point, t.order, d.coeff * t.coeff)
-            for t in delta_times_smooth(d.order, d.point, gs[i + 1])
-        ]
-    for d in G.deltas:
-        i = bisect_left(pts, d.point)
-        deltas += [
-            DeltaTerm(t.point, t.order, d.coeff * t.coeff)
-            for t in delta_times_smooth(d.order, d.point, fs[i])
-        ]
+    # other[i] is the piece left of pts[i], other[i + 1] the one right of it
+    for ds, other, right in ((F.deltas, gs, 1), (G.deltas, fs, 0)):
+        for d in ds:
+            i = bisect_left(pts, d.point) + right
+            deltas += [
+                DeltaTerm(t.point, t.order, d.coeff * t.coeff)
+                for t in delta_times_smooth(d.order, d.point, other[i])
+            ]
     return PiecewiseDist(n, pts, [a * b for a, b in zip(fs, gs)], deltas)
 
 

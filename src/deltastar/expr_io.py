@@ -88,6 +88,14 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _read(parse, text, pos):
+    """parse(text), with its ValueError raised as an ExprError at pos."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ExprError(str(exc), pos) from exc
+
+
 def _tokenize(text):
     toks = []
     pos = 0
@@ -98,10 +106,7 @@ def _tokenize(text):
         if m.lastgroup == "num":
             word = m.group()
             kind = "imag" if word.endswith("i") else "num"
-            try:
-                toks.append((kind, _frac(word.rstrip("i")), pos))
-            except ValueError as exc:
-                raise ExprError(str(exc), pos) from exc
+            toks.append((kind, _read(_frac, word.rstrip("i"), pos), pos))
         elif m.lastgroup == "name":
             word = m.group()
             if word == "i":
@@ -130,25 +135,25 @@ class _Parser:
         self.k += 1
         return tok
 
-    def expect(self, kind, what=None):
+    def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ExprError(
-                "unexpected %s" % _describe(tok),
-                tok[2],
-                {what or kind},
-            )
+            self.fail(tok, {kind})
         return tok
 
     def fail(self, tok, expected):
         raise ExprError("unexpected %s" % _describe(tok), tok[2], expected)
 
+    def sign(self):
+        """Read an optional "+" or "-": -1 for "-", otherwise 1."""
+        if self.peek()[0] in ("+", "-"):
+            return -1 if self.next()[0] == "-" else 1
+        return 1
+
     # -- distributions ---------------------------------------------------
 
     def expr(self):
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.next()[0] == "-" else 1
+        sign = self.sign()
         terms = [self.term() * sign]
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
@@ -248,9 +253,7 @@ class _Parser:
             raise ExprError(str(exc), tok[2]) from exc
 
     def point(self):
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.next()[0] == "-" else 1
+        sign = self.sign()
         tok = self.next()
         if tok[0] != "num":
             self.fail(tok, {"number"})
@@ -277,13 +280,9 @@ class _Parser:
 
     def poly(self):
         coeffs = {}
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.next()[0] == "-" else 1
-        self.poly_term(coeffs, sign)
+        self.poly_term(coeffs, self.sign())
         while self.peek()[0] in ("+", "-"):
-            sign = -1 if self.next()[0] == "-" else 1
-            self.poly_term(coeffs, sign)
+            self.poly_term(coeffs, self.sign())
         # the cap is checked before the dense coefficient list is built,
         # which for x^100000000 would not finish
         top = max((j for j, c in coeffs.items() if not c.is_zero), default=-1)
@@ -478,14 +477,13 @@ def encode(obj):
             value = getattr(obj, name)
             text = _tok(value) if width == 1 else " ".join(map(_tok, value))
             lines.append("%s %s" % (_line_key(name), text))
-    elif isinstance(obj, NotSelfAdjoint):
-        lines.append("classification not-self-adjoint")
-        for row in obj.bc.rows:
-            lines.append("row " + " ".join(_tok(c) for c in row))
-    elif isinstance(obj, BCMatrix):
-        lines.append("bc")
-        for row in obj.rows:
-            lines.append("row " + " ".join(_tok(c) for c in row))
+    elif isinstance(obj, (NotSelfAdjoint, BCMatrix)):
+        if isinstance(obj, NotSelfAdjoint):
+            lines.append("classification not-self-adjoint")
+            obj = obj.bc
+        else:
+            lines.append("bc")
+        lines += ["row " + " ".join(map(_tok, row)) for row in obj.rows]
     else:
         raise TypeError("cannot encode %r" % (obj,))
     lines.append("end")
@@ -522,10 +520,7 @@ class _Records:
 
 
 def _scalar_list(vals, off):
-    try:
-        return [parse_scalar(v) for v in vals]
-    except ValueError as exc:
-        raise ExprError(str(exc), off) from exc
+    return [_read(parse_scalar, v, off) for v in vals]
 
 
 def decode(text):
@@ -556,10 +551,7 @@ def _decode_dist(rec):
         raise ExprError("'n' takes one nonnegative integer", off)
     n = int(vals[0])
     name, vals, off = rec.next("breakpoints")
-    try:
-        breakpoints = [_frac(v) for v in vals]
-    except ValueError as exc:
-        raise ExprError(str(exc), off) from exc
+    breakpoints = [_read(_frac, v, off) for v in vals]
     pieces = []
     deltas = []
     while True:
@@ -571,12 +563,9 @@ def _decode_dist(rec):
             _, vals, off = rec.next()
             if len(vals) != 3:
                 raise ExprError("'delta' takes point, order, coeff", off)
-            try:
-                point = _frac(vals[0])
-                order = int(vals[1])
-            except ValueError as exc:
-                raise ExprError(str(exc), off) from exc
-            deltas.append(DeltaTerm(point, order, _scalar_list(vals[2:], off)[0]))
+            deltas.append(DeltaTerm(_read(_frac, vals[0], off),
+                                    _read(int, vals[1], off),
+                                    _read(parse_scalar, vals[2], off)))
         else:
             break
     rec.next("end")

@@ -331,6 +331,7 @@ def bound_states(bc):
 # grid Hamiltonian
 
 _GRID_NEEDS = "spectrum --grid needs numpy and scipy"
+_GRID_MAX_N = 10 ** 6  # 8 MB per array of samples
 
 
 @dataclass(frozen=True)
@@ -349,8 +350,10 @@ class GridHamiltonian:
 
 
 def grid_hamiltonian(L, N, potential=None):
-    if N < 3:
-        raise PreconditionError("need at least 3 grid points")
+    # N is checked before numpy allocates anything of its size
+    if not (isinstance(N, int) and 3 <= N <= _GRID_MAX_N):
+        raise PreconditionError("need a whole number of grid points "
+                                "3 <= N <= %d, got N=%s" % (_GRID_MAX_N, N))
     if not L > 0:
         raise PreconditionError("half-width must be positive")
     try:
@@ -363,6 +366,8 @@ def grid_hamiltonian(L, N, potential=None):
     v = np.zeros(N) if potential is None else np.array(
         [float(potential(float(xi))) for xi in x]
     )
+    if not np.isfinite(v).all():
+        raise PreconditionError("the potential is not finite on the grid")
     diag = 2.0 / (h * h) + v
     offdiag = np.full(N - 1, -1.0 / (h * h))
     return GridHamiltonian(L, N, x, diag, offdiag)

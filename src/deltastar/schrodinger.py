@@ -624,6 +624,5 @@ def dirichlet_specs():
     """Two realizations of double-Dirichlet conditions psi(0-)=psi(0+)=0:
     a PseudoPotential built from the condition rows, and a plain
     potential."""
-    pseudo = represent_from_bc((_ZERO, -_ONE, _ZERO, _ZERO), (-_ONE, _ZERO, _ZERO, _ZERO))
-    plain = PointPotential(_ONE, _ONE, _ONE, -_ONE)
-    return pseudo, plain
+    return (separating_pseudo(0, 1, 0, 1),
+            represent_separating(0, 1, 0, 1).default())

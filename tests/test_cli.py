@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import shlex
@@ -180,6 +181,42 @@ def test_represent_separating_overrides(capsys):
     assert payload["params"]["free"] == "c1,c2"
 
 
+# argv selecting a family -> (its printed name, the overrides it takes)
+_FAMILY_OVERRIDES = {
+    "--interacting=0,0,2": ("opposite-sign", ("b1", "c1")),
+    "--interacting=0,1/2,-3/2": ("conjugate-pair", ("k1",)),
+    "--separating=0,1,0,1": ("separating", ("c1", "c2")),
+    "--interacting=0,1i,1": ("pseudo-only", ()),
+    "--separating=1,1,1,1": ("pseudo-only", ()),
+    "--bc=0,0,1,0;0,0,0,1": ("from-bc", ()),
+}
+
+
+def test_represent_refuses_overrides_the_family_does_not_take(capsys):
+    # every set of one or two overrides, with a good and a malformed value:
+    # an override the family does not take was ignored, with exit 0
+    names = ("k1", "b1", "c1", "c2")
+    sets = [(a,) for a in names] + list(itertools.combinations(names, 2))
+    for selector, (family, takes) in _FAMILY_OVERRIDES.items():
+        for given in sets:
+            for value in ("1/3", "abc"):
+                argv = ["--%s=%s" % (name, value) for name in given]
+                rc, out, err = run(capsys, "represent", selector, *argv)
+                refused = [name for name in given if name not in takes]
+                if refused:
+                    assert rc == 3 and out == "", (selector, argv)
+                    assert err == "error: family %s takes no --%s override\n" % (
+                        family, refused[0])
+                elif value == "abc":
+                    assert rc == 2 and err.startswith("parse error:")
+                else:
+                    assert rc == 0, (selector, argv, err)
+                    assert out.startswith("family %s\n" % family)
+    # the family's own check stays: c2 is fixed when only c1 is free
+    rc, out, err = run(capsys, "represent", "--separating=0,1,1,2", "--c2=2")
+    assert rc == 3 and err == "error: c2 is fixed in this family\n"
+
+
 def test_represent_from_bc_neumann(capsys):
     payload = run_json(capsys, "represent", "--bc", "0,0,1,0;0,0,0,1")
     assert payload["family"] == "from-bc"
@@ -268,6 +305,59 @@ def test_values_past_the_float_range_exit_3(capsys):
         rc, out, err = run(capsys, *argv)
         assert rc == 3 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_flags_with_no_effect_exit_2(capsys):
+    # each ran with exit 0: the flag was dropped, or an empty list gave a
+    # header only, or an empty item was skipped
+    for argv, message in (
+        (["spectrum", "--delta=-2", "--strength=-2"], "--strength and --levels"),
+        (["spectrum", "--delta=-2", "--levels=2"], "--strength and --levels"),
+        (["spectrum", "--delta=-2", "--grid="], "--grid takes"),
+        (["spectrum", "--delta=-2", "--grid=0.05,,20,4000"], "--grid takes"),
+        (["scatter", "--delta=-2", "--k="], "--k takes"),
+        (["scatter", "--delta=-2", "--k=1,,2"], "--k takes"),
+        (["scatter", "--delta=-2", "--k=1,2,"], "--k takes"),
+        (["weaklimit", "--dist=heaviside(0)", "--eps="], "--eps takes"),
+        (["weaklimit", "--dist=heaviside(0)", "--eps=0.1, ,0.05"], "--eps takes"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert err.startswith("parse error: " + message), err
+
+
+def test_grid_potential_not_finite_exits_3(capsys):
+    # scipy's "array must not contain infs or NaNs" was a parse error, exit 2
+    for strength in ("nan", "inf", "1e308"):
+        rc, out, err = run(capsys, "spectrum", "--delta=-2",
+                           "--grid=0.05,20,4000", "--strength=" + strength)
+        assert rc == 3 and out == ""
+        assert err == "error: the potential is not finite on the grid\n"
+
+
+def test_grid_size_is_a_whole_number(capsys):
+    # 4000.9 ran with N = 4000, nan was int()'s parse error
+    for N in ("4000.9", "nan", "2.5", "inf"):
+        rc, out, err = run(capsys, "spectrum", "--delta=-2",
+                           "--grid=0.05,20," + N)
+        assert rc == 3 and out == ""
+        assert err == "error: --grid N=%s is not a whole number\n" % N
+
+
+_HUGE_GRID = """
+import sys
+from deltastar import cli
+rc = cli.main(["spectrum", "--delta=-2", "--grid=0.05,20,1e13"])
+print(rc, sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+
+
+def test_grid_size_cap_comes_before_numpy():
+    # a fresh process: N = 1e13 was a numpy MemoryError traceback
+    done = fresh("-c", _HUGE_GRID)
+    assert done.stdout == "3 []\n"
+    assert done.stderr == ("error: need a whole number of grid points "
+                           "3 <= N <= 1000000, got N=10000000000000\n")
 
 
 def test_grid_takes_three_values(capsys):
@@ -457,11 +547,12 @@ _EXPR = st.lists(_ATOM, min_size=1, max_size=4).flatmap(
 _FLOATS = _joined(_mostly(("1", "0.5", "2", "0.05", "3"),
                           ("0", "-1", "1e-300", "1e308", "inf", "nan", "x", "")),
                   ",", 2)
-# a grid size is drawn apart from the other floats: N is not capped yet,
-# and N = 1e9 would have numpy allocate gigabytes before any check
+# a grid size is drawn apart from the other floats: N past the cap of
+# 1e6 is refused before numpy allocates anything of its size
 _GRID = st.tuples(_mostly(("0.5", "1"), ("0.05", "0", "-1", "inf", "nan", "x")),
                   _mostly(("5", "10"), ("0", "-1", "inf", "1e308", "x")),
-                  _mostly(("50", "200"), ("0", "-5", "2.5", "inf", "nan", "x")),
+                  _mostly(("50", "200"), ("0", "-5", "2.5", "inf", "nan", "x",
+                                          "1e9", "1e13", "4000.9")),
                   ).map(",".join)
 _ROWS = _joined(_joined(_SCALAR, ",", 4), ";", 2)
 

@@ -307,3 +307,26 @@ def test_scalar_rejects_floats(x):
         x / 0
     with pytest.raises(ZeroDivisionError):
         x / Scalar(0, 0)
+
+
+# -- reflected products: s * X is X * s for a scalar s -------------------------
+
+
+@_MODEL
+@given(seed=st.integers(0, 2 ** 32 - 1), s=_operands, token=st.booleans())
+def test_reflected_products_match_right_products(seed, s, token):
+    rng = random.Random(seed)
+    if token:
+        s = Scalar(*_pair(s)).token()  # a scalar given as its token text
+    S = parse_scalar(s) if token else Scalar(*_pair(s))
+    P, F = rand_poly(rng), rand_dist(rng)
+    for X, want in ((P, Poly([c * S for c in P.coeffs])), (F, scale(S, F))):
+        assert s * X == X * s == want
+        assert type(s * X) is type(X)
+    # a left operand that is no scalar has no product with either
+    for left in (0.5, 1j, [1], object(), P):
+        with pytest.raises(TypeError):
+            left * F
+    for left in (0.5, 1j, [1], object(), F):
+        with pytest.raises(TypeError):
+            left * P

@@ -428,8 +428,14 @@ def test_grid_potential_and_validation():
     assert isinstance(H, GridHamiltonian)
     assert H.diag.shape == (400,) and H.offdiag.shape == (399,)
     assert grid_eigenvalues(H, 1)[0] < 0  # the well binds
-    with pytest.raises(PreconditionError):
-        grid_hamiltonian(10.0, 2)
+    # N is a whole number up to 1e6, checked before numpy allocates N
+    # samples; a non-finite sample was scipy's ValueError in the solver
+    for N in (2, 10 ** 6 + 1, 10 ** 13, 400.0, 400.5, True):
+        with pytest.raises(PreconditionError, match="3 <= N <= 1000000"):
+            grid_hamiltonian(10.0, N)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError, match="not finite"):
+            grid_hamiltonian(10.0, 100, potential=lambda x: value * (x > 0))
     with pytest.raises(PreconditionError):
         grid_hamiltonian(-1.0, 100)
     with pytest.raises(PreconditionError):
