@@ -63,14 +63,18 @@ class DivergentIntegralError(AlgebraError):
 # 4300-digit limit for int text, Scalar.token could not print it anyway
 _EXPONENT_CAP = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+# "p" and "p/q" in ASCII digits, read by int(), not Fraction's text parser
+_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _frac(x):
-    if isinstance(x, Fraction):
-        return x
+    # the Fraction test comes last: an ABCMeta isinstance test is slow to fail
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        m = _RATIO.fullmatch(x)
+        if m and int(m[2] or 1):
+            return Fraction(int(m[1]), int(m[2] or 1))
         m = _EXPONENT.search(x)
         if m:
             digits = m.group(1).replace("_", "")
@@ -81,6 +85,8 @@ def _frac(x):
         except ZeroDivisionError:
             # text is input: "1/0" is a malformed number, not arithmetic
             raise ValueError("zero denominator in %r" % x) from None
+    if isinstance(x, Fraction):
+        return x
     raise TypeError("expected an exact rational, got %r" % (x,))
 
 
@@ -319,10 +325,11 @@ def parse_scalar(text):
     if not s.endswith("i"):
         return Scalar(s)
     body = s[:-1]
-    # split an "a+bi" form at the sign separating the two parts
+    # split an "a+bi" form at the sign separating the two parts, which
+    # follows neither another sign nor an exponent's "e"
     cut = -1
     for k in range(1, len(body)):
-        if body[k] in "+-" and body[k - 1] not in "+-/.":
+        if body[k] in "+-" and body[k - 1] not in "+-/.eE":
             cut = k
     if cut == -1:
         re_part, im_part = "", body
@@ -395,6 +402,8 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
+        if not (a and b):
+            return self if a else other
         if len(a) < len(b):
             a, b = b, a
         return Poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
@@ -704,14 +713,32 @@ def add(F, G):
     )
 
 
+def _canonical(n, breakpoints, pieces, deltas):
+    """A PiecewiseDist of parts already in canonical form, not rebuilt."""
+    F = _new(PiecewiseDist)
+    F.n, F.breakpoints, F.pieces, F.deltas = n, breakpoints, pieces, deltas
+    return F
+
+
 def scale(c, F):
     c = as_scalar(c)
-    return PiecewiseDist(
+    if not c:
+        return zero(F.n)
+    # a nonzero factor keeps every canonical property of F
+    return _canonical(
         F.n,
         F.breakpoints,
-        [c * p for p in F.pieces],
-        [DeltaTerm(d.point, d.order, c * d.coeff) for d in F.deltas],
+        tuple(p * c for p in F.pieces),
+        tuple(DeltaTerm(d.point, d.order, c * d.coeff) for d in F.deltas),
     )
+
+
+def reindex(F, n):
+    """F at regularity index n; only the delta orders are checked."""
+    if type(n) is int and n >= 0 and all(d.order <= n for d in F.deltas):
+        return _canonical(n, F.breakpoints, F.pieces, F.deltas)
+    # the constructor raises the error
+    return PiecewiseDist(n, F.breakpoints, F.pieces, F.deltas)
 
 
 # -- products ----------------------------------------------------------------

@@ -16,8 +16,12 @@ Expression grammar (whitespace-insensitive)::
     pterm    := scalar ["*"] ["x" ["^" INT]] | "x" ["^" INT]
     scalar   := NUMBER ["i"] | "i"
 
-Multiplying by a constant atom and scaling coincide (the one-sided
-product is bilinear), so "2*delta(0)" needs no special case.  Complex
+The one-sided product is bilinear, so the constant factors of a term
+multiply into one scalar, applied by one scale: "2*delta(0)" is
+scale(2, delta(0)), not a product with a constant distribution.  A zero
+factor zeroes the product where it stands, as the product would.  A
+constant subexpression stays a scalar until D(...) or the result needs
+a distribution.  Complex
 coefficients are written as separate real and imaginary terms, e.g.
 "1/2*delta(0) + 3i*delta(0)", which keeps the formatter inside the
 grammar.  "3/4i" means (3/4)i.
@@ -61,7 +65,10 @@ from .dist_core import (
     heaviside,
     indicator,
     parse_scalar,
+    reindex,
+    scale,
     star,
+    zero,
 )
 from .schrodinger import (
     BCMatrix,
@@ -153,12 +160,13 @@ class _Parser:
     # -- distributions ---------------------------------------------------
 
     def expr(self):
-        sign = self.sign()
-        terms = [self.term() * sign]
+        """A sum of terms: a Scalar when every term is constant."""
+        terms = [self.term(self.sign())]
         while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            t = self.term()
-            terms.append(t if op == "+" else -t)
+            terms.append(self.term(self.sign()))
+        if all(type(t) is Scalar for t in terms):
+            return sum(terms, Scalar(0))
+        terms = [_dist(t) for t in terms]
         # add in pairs: each sum then merges parts of similar size, where
         # a running sum would rebuild the whole of it once per term
         while len(terms) > 1:
@@ -166,24 +174,38 @@ class _Parser:
             terms = pairs + terms[2 * len(pairs):]
         return terms[0]
 
-    def term(self):
-        out = self.atom()
-        while self.peek()[0] == "*":
+    def term(self, sign):
+        """sign times a product of atoms.  Its constant factors multiply
+        into one Scalar c, applied by one scale; the term is a Scalar when
+        every factor is constant.  A zero factor zeroes the product where
+        it stands, as star would, so no later star can fail."""
+        c, out = Scalar(sign), None
+        while True:
+            a = self.atom()
+            if type(a) is Scalar:
+                c = c * a
+                if not c:
+                    out, c = zero(0 if out is None else out.n), Scalar(1)
+            else:
+                try:
+                    out = a if out is None else star(out, a)
+                except AlgebraError as exc:
+                    raise ExprError(str(exc), pos) from exc
+            if self.peek()[0] != "*":
+                break
             pos = self.next()[2]
-            try:
-                out = star(out, self.atom())
-            except AlgebraError as exc:
-                raise ExprError(str(exc), pos) from exc
-        return out
+        if out is None:
+            return c
+        return out if c == 1 else scale(c, out)
 
     def atom(self):
         tok = self.peek()
         if tok[0] == "num":
             self.next()
-            return constant(Scalar(tok[1]))
+            return Scalar(tok[1])
         if tok[0] == "imag":
             self.next()
-            return constant(Scalar(0, tok[1]))
+            return Scalar(0, tok[1])
         if tok[0] == "(":
             self.next()
             out = self.expr()
@@ -206,7 +228,7 @@ class _Parser:
                 out = self.expr()
                 self.expect(")")
                 try:
-                    return derivative(out)
+                    return derivative(_dist(out))
                 except AlgebraError as exc:
                     raise ExprError(str(exc), tok[2]) from exc
         self.fail(tok, {"delta", "heaviside", "piece", "D", "(", "number"})
@@ -324,6 +346,11 @@ class _Parser:
         coeffs[deg] = coeffs.get(deg, Scalar(0)) + coeff
 
 
+def _dist(x):
+    """A parsed expression as a distribution: a Scalar becomes a constant."""
+    return constant(x) if type(x) is Scalar else x
+
+
 def _describe(tok):
     if tok[0] == "end":
         return "end of input"
@@ -350,9 +377,10 @@ def parse_dist(text, n_cap=None):
     tok = p.peek()
     if tok[0] != "end":
         p.fail(tok, {"+", "-", "*", "end of input"})
+    out = _dist(out)
     if n_cap is not None:
         try:
-            out = PiecewiseDist(n_cap, out.breakpoints, out.pieces, out.deltas)
+            out = reindex(out, n_cap)
         except AlgebraError as exc:
             raise ExprError(str(exc), len(text)) from exc
     return out

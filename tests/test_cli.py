@@ -90,6 +90,14 @@ def test_classify_delta_well(capsys):
     assert decode(payload["classification"]) == InteractingSA(0, 0, -1)
 
 
+def test_classify_reads_exponent_tokens(capsys):
+    # the sign after "e" is the exponent's, not the one between two parts
+    for c1, same in (("1e-5i", "1/100000i"), ("2+1E+2i", "2+100i")):
+        rc, out, err = run(capsys, "classify", "--c1", c1, "--c2", "0")
+        assert rc == 0 and err == ""
+        assert (rc, out, err) == run(capsys, "classify", "--c1", same, "--c2", "0")
+
+
 def test_classify_theta_family(capsys):
     payload = run_json(capsys, "classify", "--b1", "1/3", "--b2", "1/3")
     assert payload["kind"] == "interacting"
@@ -114,6 +122,7 @@ def test_classify_bad_scalar_exits_2(capsys):
          "zero denominator"),
         (["classify", "--c1", "1e20000000"], "exponent too large"),
         (["classify", "--c1", "1e-4301"], "exponent too large"),
+        (["classify", "--c1", "1e-20000000i"], "exponent too large"),
         (["represent", "--interacting=1e20000000,0,0"], "exponent too large"),
         (["spectrum", "--theta="], "empty scalar token"),
         (["spectrum", "--delta="], "empty scalar token"),
@@ -138,10 +147,16 @@ def test_huge_exponent_exits_2_fast():
 def test_long_sum_parses_fast():
     # a fresh process, killed at the bound: a running sum re-merged every
     # breakpoint once per term, cubic in the number of terms
-    expr = "+".join("delta(%d)" % k for k in range(2000))
-    done = fresh("-m", "deltastar", "product", expr)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == " + ".join("delta(%d)" % k for k in range(2000)) + "\n"
+    ks = range(2000)
+    hi = [str(k + 1) for k in ks[:-1]] + ["inf"]
+    for term, want in (
+        ("delta(%d)", ["delta(%d)" % k for k in ks]),
+        ("3*heaviside(%d)", ["piece(%d,%s: %d)" % (k, hi[k], 3 * k + 3) for k in ks]),
+        ("piece(%d,inf: x)", ["piece(%d,%s: %d*x)" % (k, hi[k], k + 1) for k in ks]),
+    ):
+        done = fresh("-m", "deltastar", "product", "+".join(term % k for k in ks))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == " + ".join(want).replace(" 1*x", " x") + "\n"
 
 
 def test_represent_interacting_round_trip(capsys):

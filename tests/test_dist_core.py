@@ -30,7 +30,9 @@ from deltastar import (
     scale,
     zero,
 )
-from helpers import rand_dist, rand_poly
+from deltastar.dist_core import reindex
+from deltastar.expr_io import format_dist, parse_dist
+from helpers import rand_dist, rand_poly, rand_scalar
 
 
 def test_canonical_drops_removable_breakpoint():
@@ -89,6 +91,28 @@ def test_add_and_scale_linear():
         assert add(F, G) == add(G, F)
         assert scale(2, add(F, G)) == add(scale(2, F), scale(2, G))
         assert add(F, scale(-1, F)).is_zero
+
+
+def test_scale_and_reindex_give_canonical_results():
+    # both skip the constructor: rebuilding their results changes nothing
+    rng = random.Random(202)
+    for _ in range(100):
+        F = rand_dist(rng, n=2, max_order=2)
+        c = rand_scalar(rng)
+        out = [reindex(F, 2), reindex(F, 5), parse_dist(format_dist(F), 2)]
+        if c:
+            out.append(scale(c, F))
+        for G in out:
+            H = PiecewiseDist(G.n, G.breakpoints, G.pieces, G.deltas)
+            assert type(G.pieces) is type(G.deltas) is tuple
+            assert (H.n, H.breakpoints, H.pieces, H.deltas) == (
+                G.n, G.breakpoints, G.pieces, G.deltas)
+        assert scale(0, F) == zero() and scale(0, F).n == F.n
+        if order_of(F) > 1:
+            with pytest.raises(RegularityError):
+                reindex(F, order_of(F) - 2)
+    with pytest.raises(AlgebraError, match="nonnegative integer"):
+        reindex(zero(), -1)
 
 
 def test_order_of():

@@ -11,6 +11,7 @@ from deltastar import (
     parse_scalar,
     set_degree_cap,
 )
+from deltastar.dist_core import _frac
 from helpers import rand_poly, rand_scalar
 
 
@@ -62,6 +63,41 @@ def test_scalar_token_round_trip():
     assert Scalar(Fraction(3, 4)).token() == "3/4"
     assert Scalar(0, 1).token() == "1i"
     assert Scalar(-1, Fraction(-1, 2)).token() == "-1-1/2i"
+
+
+def test_scalar_text_keeps_the_exponent_sign():
+    # the sign after "e" belongs to the exponent, not between two parts
+    assert parse_scalar("1e-5i") == Scalar(0, Fraction(1, 10 ** 5))
+    assert parse_scalar("1E+2i") == Scalar(0, 100)
+    assert parse_scalar("2+1e-5i") == Scalar(2, Fraction(1, 10 ** 5))
+    assert parse_scalar("1e2-1e-2i") == Scalar(100, Fraction(-1, 100))
+    with pytest.raises(ValueError, match="exponent too large"):
+        parse_scalar("1e-20000000i")
+
+
+def _by_fraction(text):
+    """_frac's general route: Fraction's text parser."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
+@pytest.mark.parametrize("text", [
+    "+3", "-3", "007", "2/4", "-6/4", "1/0", "0/0", "1/00", "1_000", "\u0663",
+    " 3", "1 / 2", "1.5/3", "1e3", "", "/2", "1/-2", "3/", "--1",
+])
+def test_frac_reads_ratio_text_like_fraction(text):
+    # "p" and "p/q" are read by int(); everything else by Fraction
+    try:
+        want = _by_fraction(text)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as info:
+            _frac(text)
+        assert str(info.value) == str(exc)
+    else:
+        got = _frac(text)
+        assert got == want and type(got) is type(want) is Fraction
 
 
 def test_poly_arithmetic():

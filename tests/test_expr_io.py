@@ -16,6 +16,7 @@ from deltastar import (
     heaviside,
     indicator,
     scale,
+    star,
     zero,
 )
 from deltastar.expr_io import (
@@ -27,7 +28,7 @@ from deltastar.expr_io import (
     parse_poly,
 )
 from deltastar import schrodinger as s
-from helpers import rand_dist
+from helpers import rand_dist, rand_scalar
 
 
 def test_parse_basic_atoms():
@@ -52,6 +53,38 @@ def test_parse_combinations():
     assert parse_dist("heaviside(0)*delta(0)").is_zero
     assert parse_dist("piece(-inf,inf: 1+x)*delta(0)") == delta_dist(0, 0)
     assert parse_dist("(delta(0) + heaviside(0))*delta(0)").is_zero
+
+
+def test_zero_factor_zeroes_the_product_where_it_stands():
+    # constant factors are applied after the stars, so a zero one must
+    # zero the product at once: x^5 * x^5 is past the degree cap
+    for text in ("0*piece(0,1: x^5)*piece(0,1: x^5)",
+                 "piece(0,1: x^5)*0*piece(0,1: x^5)"):
+        assert parse_dist(text).is_zero
+    with pytest.raises(ExprError, match="degree 10 exceeds cap") as info:
+        parse_dist("piece(0,1: x^5)*piece(0,1: x^5)*0")
+    assert info.value.pos == 15  # the first "*"
+    # the regularity index of a zeroed product is that of its factors
+    assert parse_dist("delta'(0)*0").n == parse_dist("0*delta^2(0)").n - 1 == 1
+    assert parse_dist("D(3*(1 - 1/3*3))").is_zero
+
+
+def test_constant_factors_match_star_with_constants():
+    rng = random.Random(403)
+    atoms = ["heaviside(1/2)", "delta^2(-1)", "D(piece(-1,1: 1+x))", "3/4i"]
+    for _ in range(60):
+        parts, want = [], zero()
+        for _ in range(rng.randint(1, 4)):
+            c = rand_scalar(rng)
+            atom = rng.choice(atoms + ["(%s)" % format_dist(rand_dist(rng, n=2))])
+            form = rng.choice(("(%s)*%s", "%s*(%s)", "(%s)*1*%s"))
+            if form == "%s*(%s)":
+                parts.append(form % (atom, c.token()))
+            else:
+                parts.append(form % (c.token(), atom))
+            want = add(want, star(constant(c), parse_dist(atom)))
+        got = parse_dist(" + ".join(parts))
+        assert got == want and got.n == want.n
 
 
 def test_parse_poly_forms():
