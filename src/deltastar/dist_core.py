@@ -227,7 +227,8 @@ class Scalar:
         if type(other) is not Scalar:
             if type(other) is int:
                 return self._a == other and not self._b and self._d == 1
-            other = as_scalar_or_none(other)
+            # a string is text, not a number: it is never equal to one
+            other = None if isinstance(other, str) else as_scalar_or_none(other)
             if other is None:
                 return NotImplemented
         return self._a == other._a and self._b == other._b and self._d == other._d
@@ -280,7 +281,11 @@ _ZERO = _mk(0, 0, 1)
 def _ratio_token(n, d):
     """"p/q" or "p": the rational n / d (d > 0) in lowest terms."""
     g = gcd(n, d)
-    return str(n // g) if g == d else "%d/%d" % (n // g, d // g)
+    try:
+        return str(n // g) if g == d else "%d/%d" % (n // g, d // g)
+    except ValueError:
+        # past Python's limit on the digits of int text
+        raise AlgebraError("exact value too large to print") from None
 
 
 def _rat_token(q):

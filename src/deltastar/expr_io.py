@@ -26,8 +26,13 @@ coefficients are written as separate real and imaginary terms, e.g.
 "1/2*delta(0) + 3i*delta(0)", which keeps the formatter inside the
 grammar.  "3/4i" means (3/4)i.
 
-Syntax errors raise ExprError carrying the character offset (equal to the
-byte offset for this ASCII grammar) and the set of expected tokens.
+One regular-expression scan splits the text into tokens; a number token
+carries its Scalar, so each number is read once.  Syntax errors raise
+ExprError carrying the character offset (equal to the byte offset for
+this ASCII grammar) and the set of expected tokens.  Every ValueError of
+the layer below (a malformed number, an AlgebraError of star, derivative,
+indicator or the regularity cap) goes through one translator, _read,
+into an ExprError at the offset of the construct that raised it.
 
 The record codec is line-oriented: a header line, one "key value..."
 line per field, and "end", with scalars in the canonical token form of
@@ -42,7 +47,6 @@ decode(encode(x)) == x.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .boundary_ops import (
     DeltaPrimeFamily,
@@ -90,39 +94,38 @@ class ExprError(ValueError):
         super().__init__("%s at offset %d%s" % (message, pos, tail))
 
 
+# every character is whitespace or at worst "bad", so the matches tile the text
 _TOKEN_RE = re.compile(
-    r"\s+|(?P<num>\d+(?:\.\d+)?(?:/\d+)?i?)|(?P<name>[A-Za-z_]+)|(?P<op>[()+\-*^,:'])"
+    r"\s+|(?P<num>\d+(?:\.\d+)?(?:/\d+)?i?)|(?P<name>[A-Za-z_]+)"
+    r"|(?P<op>[()+\-*^,:'])|(?P<bad>\S)"
 )
 
 
-def _read(parse, text, pos):
-    """parse(text), with its ValueError raised as an ExprError at pos."""
+def _read(pos, fn, *args):
+    """fn(*args), with its ValueError raised as an ExprError at pos."""
     try:
-        return parse(text)
+        return fn(*args)
     except ValueError as exc:
         raise ExprError(str(exc), pos) from exc
 
 
 def _tokenize(text):
+    """(kind, value, offset) tokens, then ("end", None, len(text)); the
+    value of a "num" or "imag" (ending in "i") token is its Scalar."""
     toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExprError("unexpected character %r" % text[pos], pos)
-        if m.lastgroup == "num":
-            word = m.group()
-            kind = "imag" if word.endswith("i") else "num"
-            toks.append((kind, _read(_frac, word.rstrip("i"), pos), pos))
-        elif m.lastgroup == "name":
-            word = m.group()
-            if word == "i":
-                toks.append(("imag", Fraction(1), pos))
+    for m in _TOKEN_RE.finditer(text):
+        kind, word, pos = m.lastgroup, m.group(), m.start()
+        if kind == "num":
+            if word[-1] == "i":
+                toks.append(("imag", _read(pos, Scalar, 0, word[:-1]), pos))
             else:
-                toks.append(("name", word, pos))
-        elif m.lastgroup == "op":
-            toks.append((m.group(), m.group(), pos))
-        pos = m.end()
+                toks.append(("num", _read(pos, Scalar, word), pos))
+        elif kind == "name":
+            toks.append(("imag", Scalar(0, 1), pos) if word == "i" else ("name", word, pos))
+        elif kind == "op":
+            toks.append((word, word, pos))
+        elif kind == "bad":
+            raise ExprError("unexpected character %r" % word, pos)
     toks.append(("end", None, len(text)))
     return toks
 
@@ -187,10 +190,7 @@ class _Parser:
                 if not c:
                     out, c = zero(0 if out is None else out.n), Scalar(1)
             else:
-                try:
-                    out = a if out is None else star(out, a)
-                except AlgebraError as exc:
-                    raise ExprError(str(exc), pos) from exc
+                out = a if out is None else _read(pos, star, out, a)
             if self.peek()[0] != "*":
                 break
             pos = self.next()[2]
@@ -200,12 +200,9 @@ class _Parser:
 
     def atom(self):
         tok = self.peek()
-        if tok[0] == "num":
+        if tok[0] in ("num", "imag"):
             self.next()
-            return Scalar(tok[1])
-        if tok[0] == "imag":
-            self.next()
-            return Scalar(0, tok[1])
+            return tok[1]
         if tok[0] == "(":
             self.next()
             out = self.expr()
@@ -227,10 +224,7 @@ class _Parser:
                 self.expect("(")
                 out = self.expr()
                 self.expect(")")
-                try:
-                    return derivative(_dist(out))
-                except AlgebraError as exc:
-                    raise ExprError(str(exc), tok[2]) from exc
+                return _read(tok[2], derivative, _dist(out))
         self.fail(tok, {"delta", "heaviside", "piece", "D", "(", "number"})
 
     def delta_atom(self):
@@ -269,17 +263,14 @@ class _Parser:
             raise ExprError("upper bound cannot be -inf", tok[2])
         lo = None if lo == "-inf" else lo
         hi = None if hi == "inf" else hi
-        try:
-            return indicator(lo, hi, poly)
-        except AlgebraError as exc:
-            raise ExprError(str(exc), tok[2]) from exc
+        return _read(tok[2], indicator, lo, hi, poly)
 
     def point(self):
         sign = self.sign()
         tok = self.next()
         if tok[0] != "num":
             self.fail(tok, {"number"})
-        return sign * tok[1]
+        return (sign * tok[1]).re  # points are Fractions
 
     def bound(self):
         tok = self.peek()
@@ -294,9 +285,9 @@ class _Parser:
 
     def int_value(self):
         tok = self.next()
-        if tok[0] != "num" or tok[1].denominator != 1 or tok[1] < 0:
+        if tok[0] != "num" or tok[1].re.denominator != 1:
             self.fail(tok, {"nonnegative integer"})
-        return int(tok[1])
+        return int(tok[1].re)
 
     # -- polynomials -------------------------------------------------------
 
@@ -317,24 +308,17 @@ class _Parser:
 
     def poly_term(self, coeffs, sign):
         tok = self.peek()
-        if tok[0] == "num":
+        if tok[0] in ("num", "imag"):
             self.next()
-            coeff = Scalar(tok[1] * sign)
-        elif tok[0] == "imag":
-            self.next()
-            coeff = Scalar(0, tok[1] * sign)
+            coeff = tok[1] * sign
+            if self.peek()[0] == "*" and self.toks[self.k + 1][:2] == ("name", "x"):
+                # "2*x": the "*" belongs to the monomial, not an enclosing
+                # product, exactly when x follows
+                self.next()
         elif tok[0] == "name" and tok[1] == "x":
             coeff = Scalar(sign)
         else:
             self.fail(tok, {"number", "x"})
-        if (
-            tok[0] in ("num", "imag")
-            and self.peek()[0] == "*"
-            and self.toks[self.k + 1][:2] == ("name", "x")
-        ):
-            # "2*x": the "*" belongs to the monomial, not an enclosing
-            # product, exactly when x follows
-            self.next()
         deg = 0
         nxt = self.peek()
         if nxt[0] == "name" and nxt[1] == "x":
@@ -363,37 +347,35 @@ def _describe(tok):
     return "'%s'" % tok[0]
 
 
+def _parse_all(text, n_cap, rule, expected):
+    """rule(parser) over the whole of text; expected names what may
+    follow where the rule stops short of the end."""
+    p = _Parser(text, n_cap)
+    try:
+        out = rule(p)
+    except RecursionError:
+        raise ExprError("nested too deeply", p.peek()[2]) from None
+    tok = p.peek()
+    if tok[0] != "end":
+        p.fail(tok, expected)
+    return out
+
+
 def parse_dist(text, n_cap=None):
     """Parse an expression into a distribution.
 
     n_cap, when given, bounds the allowed delta orders and fixes the
     regularity index of the result.
     """
-    p = _Parser(text, n_cap)
-    try:
-        out = p.expr()
-    except RecursionError:
-        raise ExprError("nested too deeply", p.peek()[2]) from None
-    tok = p.peek()
-    if tok[0] != "end":
-        p.fail(tok, {"+", "-", "*", "end of input"})
-    out = _dist(out)
+    out = _dist(_parse_all(text, n_cap, _Parser.expr, {"+", "-", "*", "end of input"}))
     if n_cap is not None:
-        try:
-            out = reindex(out, n_cap)
-        except AlgebraError as exc:
-            raise ExprError(str(exc), len(text)) from exc
+        out = _read(len(text), reindex, out, n_cap)
     return out
 
 
 def parse_poly(text):
     """Parse a bare polynomial in x."""
-    p = _Parser(text)
-    out = p.poly()
-    tok = p.peek()
-    if tok[0] != "end":
-        p.fail(tok, {"+", "-", "end of input"})
-    return out
+    return _parse_all(text, None, _Parser.poly, {"+", "-", "end of input"})
 
 
 # --------------------------------------------------------------------------
@@ -403,9 +385,9 @@ def parse_poly(text):
 def _coeff_terms(coeff, body):
     """Split a complex coefficient on a symbolic body into signed terms."""
     out = []
-    for part, unit in ((coeff.re, ""), (coeff.im, "i")):
-        if part:
-            n, d = part.numerator, part.denominator
+    d = coeff._d
+    for n, unit in ((coeff._a, ""), (coeff._b, "i")):
+        if n:
             # a unit magnitude is written as "" (or "i") and "1" alone
             mag = ("" if abs(n) == d else _ratio_token(abs(n), d)) + unit
             text = (mag + "*" + body if mag else body) if body else mag or "1"
@@ -465,10 +447,6 @@ def format_dist(F):
 # record codec
 
 
-def _tok(s):
-    return s.token()
-
-
 # record header -> (class, values per line).  One "key value..." line per
 # dataclass field follows, in declaration order, keyed by _line_key.
 _RECORDS = {
@@ -495,15 +473,15 @@ def encode(obj):
         lines.append("n %d" % obj.n)
         lines.append(("breakpoints " + " ".join(_rat_token(b) for b in obj.breakpoints)).rstrip())
         for p in obj.pieces:
-            lines.append(("piece " + " ".join(_tok(c) for c in p.coeffs)).rstrip())
+            lines.append(("piece " + " ".join(map(Scalar.token, p.coeffs))).rstrip())
         for d in obj.deltas:
-            lines.append("delta %s %d %s" % (_rat_token(d.point), d.order, _tok(d.coeff)))
+            lines.append("delta %s %d %s" % (_rat_token(d.point), d.order, d.coeff.token()))
     elif type(obj) in _HEADERS:
         head, width = _HEADERS[type(obj)]
         lines.append(head)
         for name in obj.__dataclass_fields__:
             value = getattr(obj, name)
-            text = _tok(value) if width == 1 else " ".join(map(_tok, value))
+            text = value.token() if width == 1 else " ".join(map(Scalar.token, value))
             lines.append("%s %s" % (_line_key(name), text))
     elif isinstance(obj, (NotSelfAdjoint, BCMatrix)):
         if isinstance(obj, NotSelfAdjoint):
@@ -511,7 +489,7 @@ def encode(obj):
             obj = obj.bc
         else:
             lines.append("bc")
-        lines += ["row " + " ".join(map(_tok, row)) for row in obj.rows]
+        lines += ["row " + " ".join(map(Scalar.token, row)) for row in obj.rows]
     else:
         raise TypeError("cannot encode %r" % (obj,))
     lines.append("end")
@@ -548,7 +526,7 @@ class _Records:
 
 
 def _scalar_list(vals, off):
-    return [_read(parse_scalar, v, off) for v in vals]
+    return [_read(off, parse_scalar, v) for v in vals]
 
 
 def decode(text):
@@ -579,7 +557,7 @@ def _decode_dist(rec):
         raise ExprError("'n' takes one nonnegative integer", off)
     n = int(vals[0])
     name, vals, off = rec.next("breakpoints")
-    breakpoints = [_read(_frac, v, off) for v in vals]
+    breakpoints = [_read(off, _frac, v) for v in vals]
     pieces = []
     deltas = []
     while True:
@@ -591,9 +569,9 @@ def _decode_dist(rec):
             _, vals, off = rec.next()
             if len(vals) != 3:
                 raise ExprError("'delta' takes point, order, coeff", off)
-            deltas.append(DeltaTerm(_read(_frac, vals[0], off),
-                                    _read(int, vals[1], off),
-                                    _read(parse_scalar, vals[2], off)))
+            deltas.append(DeltaTerm(_read(off, _frac, vals[0]),
+                                    _read(off, int, vals[1]),
+                                    _read(off, parse_scalar, vals[2])))
         else:
             break
     rec.next("end")

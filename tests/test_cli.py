@@ -322,6 +322,15 @@ def test_values_past_the_float_range_exit_3(capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_values_too_large_to_print_exit_3(capsys):
+    # exact and valid, but past Python's 4300-digit limit on int text
+    for argv in (["represent", "--interacting", "0,1e3000,1e-3000"],
+                 ["classify", "--c1", "1e4300"]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 3 and out == ""
+        assert err == "error: exact value too large to print\n"
+
+
 def test_flags_with_no_effect_exit_2(capsys):
     # each ran with exit 0: the flag was dropped, or an empty list gave a
     # header only, or an empty item was skipped

@@ -53,6 +53,14 @@ def test_scalar_mixes_with_ints_and_fractions():
         a + 0.5
 
 
+def test_scalar_is_never_equal_to_text():
+    # comparing with a string parsed it: "abc" raised, "1" was equal to
+    # Scalar(1) with another hash; arithmetic still reads token text
+    assert Scalar(1) != "abc" and Scalar(1) != "1"
+    assert Scalar(1) in ["abc", Scalar(1)]
+    assert Scalar(1) + "1/2i" == Scalar(1, Fraction(1, 2))
+
+
 def test_scalar_token_round_trip():
     rng = random.Random(102)
     for _ in range(400):

@@ -121,6 +121,26 @@ def test_error_positions():
             parse_dist(text)
         assert info.value.pos == pos
         assert expected in info.value.expected
+    # (text, n_cap, offset, message): the first character no token takes,
+    # a number where the grammar allows none, and the errors of the layer
+    # below, each at the offset of the construct that raised it
+    for text, n_cap, pos, message in (
+        ("delta(0) @ heaviside(1)", None, 9, "unexpected character '@'"),
+        ("delta(0) ＋ delta(1)", None, 9, "unexpected character '＋'"),
+        ("delta(0i)", None, 6, "unexpected imaginary number"),
+        ("delta^1/2(0)", None, 6, "unexpected number 1/2"),
+        ("piece(0,1/0: x)", None, 8, "zero denominator in '1/0'"),
+        ("piece(1,0: 1)", None, 0, "empty interval (1, 0)"),
+        ("delta^2(0)", 1, 0, "delta order 2 exceeds the regularity cap 1"),
+        ("D(delta(0))", 0, 11, "delta order 1 not allowed at regularity index 0"),
+    ):
+        with pytest.raises(ExprError) as info:
+            parse_dist(text, n_cap)
+        assert info.value.pos == pos
+        assert str(info.value).startswith(message + " at offset %d" % pos)
+    # Unicode whitespace separates tokens; Unicode digits are digits
+    assert parse_dist("delta(0)\u00a0+\u2003heaviside(1)") == delta_dist(0) + heaviside(1)
+    assert parse_dist("delta(٣)") == delta_dist(3)
 
 
 def test_empty_interval_rejected():
