@@ -30,7 +30,6 @@ PreconditionError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, neg
 
 from .dist_core import (
@@ -111,7 +110,7 @@ class SidedDelta:
 
     side: str
     order: int = 0
-    point: Fraction = Fraction(0)
+    point: Scalar = _ZERO
 
     def __post_init__(self):
         if self.side not in ("left", "right"):

@@ -6,7 +6,8 @@ intervals between them (the first piece starts at -inf, the last ends at
 +inf), and a list of point masses c * delta^(j)(x - x_i) sitting on
 breakpoints with j <= n.  All coefficients are complex numbers with
 rational real and imaginary parts, so every operation in this module is
-exact and equality is decidable.
+exact and equality is decidable.  Points (breakpoints and delta locations)
+are real Scalars, which order, hash and compare by integer arithmetic.
 
 Canonical form, enforced by the constructor:
 
@@ -29,7 +30,10 @@ defined and agrees with star there.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import comb, gcd
@@ -67,42 +71,68 @@ _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 _RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _frac(x):
-    # the Fraction test comes last: an ABCMeta isinstance test is slow to fail
-    if isinstance(x, int):
-        return Fraction(x)
+def _ratio(x):
+    """(p, q), q > 0, in lowest terms: the exact rational x, which is an
+    int, a Fraction or number text ("3", "-6/4", "0.25", "1e-3")."""
+    if type(x) is int:
+        return x, 1
     if isinstance(x, str):
         m = _RATIO.fullmatch(x)
-        if m and int(m[2] or 1):
-            return Fraction(int(m[1]), int(m[2] or 1))
-        m = _EXPONENT.search(x)
-        if m:
-            digits = m.group(1).replace("_", "")
-            if len(digits) > _EXPONENT_CAP or int(digits or 0) > _EXPONENT_CAP:
-                raise ValueError("exponent too large in %r" % x)
         try:
-            return Fraction(x)
-        except ZeroDivisionError:
+            p, q = (int(m[1]), int(m[2] or 1)) if m else _fraction_text(x)
+        except ValueError as exc:
+            # int() refuses text past sys.get_int_max_str_digits() with
+            # advice about the interpreter; say what is wrong with the input
+            if not str(exc).startswith("Exceeds the limit"):
+                raise
+            raise ValueError("number has more than %d digits"
+                             % sys.get_int_max_str_digits()) from None
+        if not q:
             # text is input: "1/0" is a malformed number, not arithmetic
-            raise ValueError("zero denominator in %r" % x) from None
+            raise ValueError("zero denominator in %r" % x)
+        g = gcd(p, q)
+        return p // g, q // g
+    # the Fraction test comes last: an ABCMeta isinstance test is slow to fail
+    if isinstance(x, int):
+        return int(x), 1
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     raise TypeError("expected an exact rational, got %r" % (x,))
+
+
+def _fraction_text(x):
+    """(p, q) of number text other than "p" and "p/q" (decimals, exponents,
+    "_", non-ASCII digits) by Fraction's parser; q is 0 for a zero
+    denominator."""
+    m = _EXPONENT.search(x)
+    if m:
+        digits = m.group(1).replace("_", "")
+        if len(digits) > _EXPONENT_CAP or int(digits or 0) > _EXPONENT_CAP:
+            raise ValueError("exponent too large in %r" % x)
+    try:
+        f = Fraction(x)
+    except ZeroDivisionError:
+        return 1, 0
+    return f.numerator, f.denominator
 
 
 class Scalar:
     """Complex number with exact rational real and imaginary parts.
 
     Accepts ints, Fractions and strings Fraction understands ("3/4",
-    "0.25") for either part; where whole scalars are coerced, strings in
-    the token form ("2i", "1-3/4i") work too.  Arithmetic mixes freely
-    with ints and Fractions; floats are rejected to keep everything
-    exact.
+    "0.25") for either part; "p" and "p/q" text is read straight into
+    ints.  Where whole scalars are coerced, strings in the token form
+    ("2i", "1-3/4i") work too.  Arithmetic mixes freely with ints and
+    Fractions; floats are rejected to keep everything exact.
 
     Stored as one Gaussian rational (a + b i) / d of three ints with
     d > 0 and gcd(a, b, d) == 1.  The form is canonical, so equality
-    compares the three ints; ``re`` and ``im`` are Fractions built on
-    demand.
+    compares the three ints, and the hash is that of the Fraction (real)
+    or of the pair (re, im), computed from the ints; ``re`` and ``im`` are
+    Fractions built on demand.  A real Scalar orders exactly against real
+    Scalars, ints, Fractions and floats (inf and nan included) and
+    converts with float(); ordering a non-real one raises TypeError.
+    Equality with a float stays False, as arithmetic with one is refused.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -111,11 +141,7 @@ class Scalar:
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return
-        re, im = _frac(re), _frac(im)
-        q, s = re.denominator, im.denominator
-        d = q * s // gcd(q, s)
-        # each part is in lowest terms, so gcd(a, b, d) == 1 already
-        self._a, self._b, self._d = re.numerator * (d // q), im.numerator * (d // s), d
+        self._a, self._b, self._d = _gaussian(_ratio(re), _ratio(im))
 
     @property
     def re(self):
@@ -234,8 +260,31 @@ class Scalar:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        # match the hash of the plain rational when the value is real
-        return hash(self.re) if not self._b else hash((self.re, self.im))
+        # hash(Fraction) of a real value, hash((re, im)) of a non-real one
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return hash(a) if d == 1 else _rational_hash(a, d)
+        g, h = gcd(a, d), gcd(b, d)
+        return hash((_rational_hash(a // g, d // g), _rational_hash(b // h, d // h)))
+
+    def __lt__(self, other):
+        if type(other) is Scalar and not (self._b or other._b):
+            return self._a * other._d < other._a * self._d
+        return _order(self, other, operator.lt)
+
+    def __le__(self, other):
+        return _order(self, other, operator.le)
+
+    def __gt__(self, other):
+        return _order(self, other, operator.gt)
+
+    def __ge__(self, other):
+        return _order(self, other, operator.ge)
+
+    def __float__(self):
+        if self._b:
+            raise TypeError("non-real scalar %s has no float value" % self.token())
+        return self._a / self._d
 
     def __complex__(self):
         return complex(self._a / self._d, self._b / self._d)
@@ -275,6 +324,50 @@ def _norm(a, b, d):
     return _mk(a, b, d)
 
 
+def _gaussian(re, im):
+    """The parts (a, b, d) of re + im i, each given as (p, q) in lowest terms."""
+    (p, q), (r, s) = re, im
+    if s == 1:
+        return p, r * q, q
+    d = q * s // gcd(q, s)
+    # each part is in lowest terms, so gcd(a, b, d) == 1 already
+    return p * (d // q), r * (d // s), d
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _rational_hash(n, d):
+    """hash(Fraction(n, d)) for n / d in lowest terms, d > 0, computed as
+    CPython does it (sys.hash_info) without building the Fraction."""
+    try:
+        h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+    except ValueError:
+        # d is a multiple of the modulus: no inverse
+        h = sys.hash_info.inf
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
+def _order(s, other, op):
+    """op(s, other) for an order operator op, exactly: s a real Scalar,
+    other a real Scalar, an int, a Fraction or a float."""
+    if s._b or type(other) is Scalar and other._b:
+        raise TypeError("a non-real scalar has no order")
+    if type(other) is Scalar:
+        p, q = other._a, other._d
+    elif isinstance(other, float):
+        if not math.isfinite(other):
+            # every finite value compares with inf and nan as 0 does
+            return op(0, other)
+        p, q = other.as_integer_ratio()
+    elif isinstance(other, (int, Fraction)):
+        p, q = other.numerator, other.denominator
+    else:
+        return NotImplemented
+    return op(s._a * q, p * s._d)
+
+
 _ZERO = _mk(0, 0, 1)
 
 
@@ -286,10 +379,6 @@ def _ratio_token(n, d):
     except ValueError:
         # past Python's limit on the digits of int text
         raise AlgebraError("exact value too large to print") from None
-
-
-def _rat_token(q):
-    return _ratio_token(q.numerator, q.denominator)
 
 
 def as_scalar(x):
@@ -322,6 +411,12 @@ def as_scalar_or_none(x):
     return None
 
 
+# an "a+bi" body splits at its last sign that follows neither another
+# sign nor an exponent's "e"
+_PARTS = re.compile(r"(.*[^-+/.eE])([-+].*)", re.DOTALL)
+_UNIT = {"": (1, 1), "+": (1, 1), "-": (-1, 1)}
+
+
 def parse_scalar(text):
     """Inverse of Scalar.token: "3", "-1/2", "2i", "-i", "1-3/4i"."""
     s = text.strip().replace(" ", "")
@@ -329,24 +424,10 @@ def parse_scalar(text):
         raise ValueError("empty scalar token")
     if not s.endswith("i"):
         return Scalar(s)
-    body = s[:-1]
-    # split an "a+bi" form at the sign separating the two parts, which
-    # follows neither another sign nor an exponent's "e"
-    cut = -1
-    for k in range(1, len(body)):
-        if body[k] in "+-" and body[k - 1] not in "+-/.eE":
-            cut = k
-    if cut == -1:
-        re_part, im_part = "", body
-    else:
-        re_part, im_part = body[:cut], body[cut:]
-    if im_part in ("", "+"):
-        im = 1
-    elif im_part == "-":
-        im = -1
-    else:
-        im = _frac(im_part)
-    return Scalar(re_part or 0, im)
+    m = _PARTS.fullmatch(s, 0, len(s) - 1)
+    re_part, im_part = m.groups() if m else ("", s[:-1])
+    im = _UNIT.get(im_part) or _ratio(im_part)
+    return _mk(*_gaussian(_ratio(re_part or 0), im))
 
 
 # --------------------------------------------------------------------------
@@ -478,15 +559,13 @@ def as_poly(p):
 
 
 def as_point(x):
-    """Exact real location on the line."""
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, Scalar):
-        if x.im:
+    """Exact real location on the line, as a real Scalar."""
+    if type(x) is Scalar:
+        if x._b:
             raise AlgebraError("point %s is not real" % x.token())
-        return x.re
+        return x
     if isinstance(x, (int, Fraction, str)):
-        return _frac(x)
+        return Scalar(x)
     raise TypeError("points must be exact rationals, got %r" % (x,))
 
 
@@ -916,10 +995,14 @@ def pair_polynomial_test(F, t, interval=(None, None)):
             raise DivergentIntegralError(
                 "nonzero integrand on an unbounded interval"
             )
+        # the integral of x**(m - 1) over (a, b), m = 1, 2, ...
+        ints, am, bm = [], a, b
+        for m in range(1, len(piece.coeffs) + len(t.coeffs)):
+            ints.append((bm - am) / m)
+            am, bm = am * a, bm * b
         for j, cf in enumerate(piece.coeffs):
             for k, ct in enumerate(t.coeffs):
-                m = j + k + 1
-                total = total + cf * ct * Fraction(b**m - a**m, m)
+                total = total + cf * ct * ints[j + k]
     for d in F.deltas:
         if inside(d.point):
             total = total + d.coeff * t.deriv(d.order).eval(d.point) * (

@@ -59,9 +59,8 @@ from .dist_core import (
     PiecewiseDist,
     Poly,
     Scalar,
-    _frac,
-    _rat_token,
     _ratio_token,
+    as_point,
     constant,
     degree_cap,
     delta_dist,
@@ -270,7 +269,7 @@ class _Parser:
         tok = self.next()
         if tok[0] != "num":
             self.fail(tok, {"number"})
-        return (sign * tok[1]).re  # points are Fractions
+        return -tok[1] if sign < 0 else tok[1]
 
     def bound(self):
         tok = self.peek()
@@ -285,9 +284,9 @@ class _Parser:
 
     def int_value(self):
         tok = self.next()
-        if tok[0] != "num" or tok[1].re.denominator != 1:
+        if tok[0] != "num" or tok[1]._d != 1:
             self.fail(tok, {"nonnegative integer"})
-        return int(tok[1].re)
+        return tok[1]._a
 
     # -- polynomials -------------------------------------------------------
 
@@ -424,7 +423,7 @@ def _delta_atom(point, order):
         name = "delta'"
     else:
         name = "delta^%d" % order
-    return "%s(%s)" % (name, _rat_token(point))
+    return "%s(%s)" % (name, point.token())
 
 
 def format_dist(F):
@@ -437,8 +436,8 @@ def format_dist(F):
     for k, piece in enumerate(F.pieces):
         if piece.is_zero:
             continue
-        lo = "-inf" if k == 0 else _rat_token(F.breakpoints[k - 1])
-        hi = "inf" if k == len(F.breakpoints) else _rat_token(F.breakpoints[k])
+        lo = "-inf" if k == 0 else F.breakpoints[k - 1].token()
+        hi = "inf" if k == len(F.breakpoints) else F.breakpoints[k].token()
         parts.append((1, "piece(%s,%s: %s)" % (lo, hi, _poly_text(piece))))
     return _join_terms(parts)
 
@@ -471,11 +470,11 @@ def encode(obj):
     if isinstance(obj, PiecewiseDist):
         lines.append("dist")
         lines.append("n %d" % obj.n)
-        lines.append(("breakpoints " + " ".join(_rat_token(b) for b in obj.breakpoints)).rstrip())
+        lines.append(("breakpoints " + " ".join(map(Scalar.token, obj.breakpoints))).rstrip())
         for p in obj.pieces:
             lines.append(("piece " + " ".join(map(Scalar.token, p.coeffs))).rstrip())
         for d in obj.deltas:
-            lines.append("delta %s %d %s" % (_rat_token(d.point), d.order, d.coeff.token()))
+            lines.append("delta %s %d %s" % (d.point.token(), d.order, d.coeff.token()))
     elif type(obj) in _HEADERS:
         head, width = _HEADERS[type(obj)]
         lines.append(head)
@@ -557,7 +556,7 @@ def _decode_dist(rec):
         raise ExprError("'n' takes one nonnegative integer", off)
     n = int(vals[0])
     name, vals, off = rec.next("breakpoints")
-    breakpoints = [_read(off, _frac, v) for v in vals]
+    breakpoints = [_read(off, as_point, v) for v in vals]
     pieces = []
     deltas = []
     while True:
@@ -569,7 +568,7 @@ def _decode_dist(rec):
             _, vals, off = rec.next()
             if len(vals) != 3:
                 raise ExprError("'delta' takes point, order, coeff", off)
-            deltas.append(DeltaTerm(_read(off, _frac, vals[0]),
+            deltas.append(DeltaTerm(_read(off, as_point, vals[0]),
                                     _read(off, int, vals[1]),
                                     _read(off, parse_scalar, vals[2])))
         else:

@@ -94,18 +94,13 @@ def _pderiv(f):
     return _ptrim(_escale(Scalar(j), f[j]) for j in range(1, len(f)))
 
 
-def _point_power(pt, j):
-    """(base + k*eps)**j as an eps-scalar."""
-    base, k = pt
-    return _etrim(
-        Scalar(comb(j, m) * base ** (j - m) * k**m) for m in range(j + 1)
-    )
-
-
 def _peval(f, pt):
+    """f at the symbolic point base + k*eps, by Horner's rule."""
+    base, k = pt
+    x = _etrim((base, Scalar(k)))
     acc = ()
-    for j, c in enumerate(f):
-        acc = _eadd(acc, _emul(c, _point_power(pt, j)))
+    for c in reversed(f):
+        acc = _eadd(_emul(acc, x), c)
     return acc
 
 

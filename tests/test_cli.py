@@ -136,6 +136,16 @@ def test_classify_bad_scalar_exits_2(capsys):
         assert err.startswith("parse error: " + message), err
 
 
+def test_long_number_exits_2_naming_the_limit(capsys):
+    # past Python's 4300-digit limit on int text the message is about the
+    # input, not the interpreter's sys.set_int_max_str_digits()
+    for argv, tail in ((["product", "delta(%s)" % ("1" * 5000)], " at offset 6"),
+                       (["classify", "--c1", "7" * 5000, "--c2", "0"], "")):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == "parse error: number has more than 4300 digits%s\n" % tail
+
+
 def test_huge_exponent_exits_2_fast():
     # a fresh process, killed at the bound: 10**20000000 is never built
     done = fresh("-m", "deltastar", "classify", "--c1", "1e20000000")

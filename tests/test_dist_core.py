@@ -1,5 +1,7 @@
+import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -331,6 +333,58 @@ def test_scalar_rejects_floats(x):
         x / 0
     with pytest.raises(ZeroDivisionError):
         x / Scalar(0, 0)
+
+
+# -- order and hash of real scalars against Fraction, int and float -----------
+
+_ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
+_MODULUS = sys.hash_info.modulus
+# the denominator has no inverse modulo the hash modulus: hash_info.inf
+_real_rats = st.one_of(_rats, st.sampled_from(
+    [Fraction(1, _MODULUS), Fraction(-3, 2 * _MODULUS), Fraction(_MODULUS, 7)]))
+_edge_floats = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 53 - 1, -(2.0 ** 53),
+                math.inf, -math.inf, math.nan]
+_floats = st.one_of(st.floats(), st.sampled_from(_edge_floats))
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_edge_floats[:9]))
+
+
+@_MODEL
+@given(x=_real_rats, y=st.one_of(_real_rats, st.integers(-10**20, 10**20)))
+def test_real_scalar_order_and_hash_match_fraction(x, y):
+    s, t = Scalar(x), Scalar(y)
+    for op in _ORDER + (operator.eq,):
+        for a, b, ra, rb in ((s, t, x, y), (s, y, x, y), (y, s, y, x)):
+            assert op(a, b) == op(ra, rb)
+    assert hash(s) == hash(x) and hash(t) == hash(y)
+    assert float(s) == float(x)
+
+
+@_MODEL
+@given(f=_floats, x=st.one_of(_real_rats, st.builds(
+    lambda f, k: Fraction(f) + Fraction(k, 2 ** 1080), _finite, st.integers(-2, 2))))
+def test_real_scalar_order_against_floats_matches_fraction(f, x):
+    # a value one ulp-fraction away from a float, and the float itself
+    for q in (x, Fraction(f) if math.isfinite(f) else x):
+        s = Scalar(q)
+        for op in _ORDER:
+            assert op(s, f) == op(q, f) and op(f, s) == op(f, q)
+
+
+@settings(_MODEL, max_examples=100)
+@given(x=_scalars, y=st.one_of(_scalars, _operands, _floats))
+def test_non_real_scalars_have_no_order(x, y):
+    if x.is_real:
+        x = x + Scalar(0, 1)
+    for op in _ORDER:
+        with pytest.raises(TypeError):
+            op(x, y)
+        with pytest.raises(TypeError):
+            op(y, x)
+    with pytest.raises(TypeError):
+        float(x)
+    assert hash(x) == hash((x.re, x.im))
 
 
 # -- reflected products: s * X is X * s for a scalar s -------------------------

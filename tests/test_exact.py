@@ -11,7 +11,6 @@ from deltastar import (
     parse_scalar,
     set_degree_cap,
 )
-from deltastar.dist_core import _frac
 from helpers import rand_poly, rand_scalar
 
 
@@ -84,7 +83,7 @@ def test_scalar_text_keeps_the_exponent_sign():
 
 
 def _by_fraction(text):
-    """_frac's general route: Fraction's text parser."""
+    """Fraction's text parser, with a zero denominator a ValueError."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -94,18 +93,20 @@ def _by_fraction(text):
 @pytest.mark.parametrize("text", [
     "+3", "-3", "007", "2/4", "-6/4", "1/0", "0/0", "1/00", "1_000", "\u0663",
     " 3", "1 / 2", "1.5/3", "1e3", "", "/2", "1/-2", "3/", "--1",
+    "+0", "-0", "+6/4", "-007/0014", "0/5", "-0/3", "000", "10/100", "0.50",
 ])
 def test_frac_reads_ratio_text_like_fraction(text):
-    # "p" and "p/q" are read by int(); everything else by Fraction
+    # Scalar reads "p" and "p/q" into ints and the rest with Fraction's
+    # text parser: either way the value, or the error, is Fraction's
     try:
         want = _by_fraction(text)
     except ValueError as exc:
         with pytest.raises(type(exc)) as info:
-            _frac(text)
+            Scalar(text)
         assert str(info.value) == str(exc)
     else:
-        got = _frac(text)
-        assert got == want and type(got) is type(want) is Fraction
+        got = Scalar(text)
+        assert got == Scalar(want) and (got.re, got.im) == (want, 0)
 
 
 def test_poly_arithmetic():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -15,6 +16,7 @@ from deltastar import (
     delta_dist,
     heaviside,
     indicator,
+    parse_scalar,
     scale,
     star,
     zero,
@@ -109,6 +111,48 @@ def test_format_parse_round_trip_randomized():
         assert parse_dist(text) == F
 
 
+# parse texts whose outcome, result or error, is pinned byte for byte
+_PINNED_TEXTS = [
+    "delta(1/3) + 2*heaviside(-5/4) - 3/7i*delta'(1/3)",
+    "piece(-1/2,3/4: 1/3 - 2/5x + 7/9i*x^2) * delta^2(1/4)",
+    "heaviside(-2/3) * delta'(-2/3) + delta'(-2/3) * heaviside(-2/3)",
+    "D(D(piece(-1/3,5/7: 1+x^3))) - (1/2-3i)*delta(22/7)",
+    "delta(0.25) + heaviside(1/4) + piece(0.5,1.75: 0.125x)",
+    "delta(-0006/0012) + piece(-inf,-1/3: x) + piece(2/3,inf: -x)",
+    "2i*delta(1/7)*piece(0,1: 1-x) + 3*delta^2(-1/9)",
+    "(1/2 + 1/3i)*(delta(1/5) - heaviside(1/5))*(4 - i)",
+    "delta(1/3) @ heaviside(1)",
+    "delta(1/0)",
+    "piece(3/4,1/2: 1)",
+    "delta^1/2(1/3)",
+    "delta(1/3i)",
+    "heaviside(1/3",
+    "piece(1/2,inf: x^9)",
+]
+
+
+def test_format_and_encode_bytes_are_pinned():
+    # a sha256 over format_dist and encode of a seeded corpus, and over the
+    # outcome of each text above (an error as type:message:offset); the
+    # digest was taken before points became Scalars, and pins the bytes
+    rng = random.Random(1313)
+    points = (Fraction(-7, 3), Fraction(-1, 2), Fraction(1, 3), Fraction(5, 4), Fraction(22, 7))
+    out = []
+    for n in (0, 1, 2):
+        for _ in range(100):
+            F = rand_dist(rng, n, points=points)
+            out += [format_dist(F), encode(F)]
+    for text in _PINNED_TEXTS:
+        try:
+            F = parse_dist(text)
+        except ExprError as exc:
+            out.append("%s:%s:%d" % (type(exc).__name__, exc, exc.pos))
+        else:
+            out += [format_dist(F), encode(F)]
+    digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+    assert digest == "d5854faf265dce6edae6906d376651a672cef7f35fd8ab89211d1b511ad8fec9"
+
+
 def test_error_positions():
     cases = [
         ("delta(", 6, "number"),
@@ -138,6 +182,17 @@ def test_error_positions():
             parse_dist(text, n_cap)
         assert info.value.pos == pos
         assert str(info.value).startswith(message + " at offset %d" % pos)
+    # a number past Python's limit on the digits of int text is reported
+    # as too long, not with advice on sys.set_int_max_str_digits()
+    long = "1" * 5000
+    record = "dist\nn 0\nbreakpoints %s\npiece 0\npiece 1\nend\n" % long
+    for read, text, pos in ((parse_dist, "delta(%s)" % long, 6), (decode, record, 9)):
+        with pytest.raises(ExprError) as info:
+            read(text)
+        assert info.value.pos == pos
+        assert str(info.value) == "number has more than 4300 digits at offset %d" % pos
+    with pytest.raises(ValueError, match="^number has more than 4300 digits$"):
+        parse_scalar("7" * 5000)
     # Unicode whitespace separates tokens; Unicode digits are digits
     assert parse_dist("delta(0)\u00a0+\u2003heaviside(1)") == delta_dist(0) + heaviside(1)
     assert parse_dist("delta(٣)") == delta_dist(3)
