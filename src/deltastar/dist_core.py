@@ -7,7 +7,8 @@ intervals between them (the first piece starts at -inf, the last ends at
 breakpoints with j <= n.  All coefficients are complex numbers with
 rational real and imaginary parts, so every operation in this module is
 exact and equality is decidable.  Points (breakpoints and delta locations)
-are real Scalars, which order, hash and compare by integer arithmetic.
+are real Scalars, which order and compare by integer arithmetic; canonical
+form is built from their order alone and never hashes them.
 
 Canonical form, enforced by the constructor:
 
@@ -36,6 +37,7 @@ import re
 import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import groupby
 from math import comb, gcd
 
 
@@ -127,12 +129,13 @@ class Scalar:
 
     Stored as one Gaussian rational (a + b i) / d of three ints with
     d > 0 and gcd(a, b, d) == 1.  The form is canonical, so equality
-    compares the three ints, and the hash is that of the Fraction (real)
-    or of the pair (re, im), computed from the ints; ``re`` and ``im`` are
-    Fractions built on demand.  A real Scalar orders exactly against real
-    Scalars, ints, Fractions and floats (inf and nan included) and
-    converts with float(); ordering a non-real one raises TypeError.
-    Equality with a float stays False, as arithmetic with one is refused.
+    compares the three ints.  ``re`` and ``im`` are Fractions built on
+    demand, and so is the hash, that of the Fraction (real) or of the
+    pair (re, im): canonical form orders points and never hashes them.
+    A real Scalar orders exactly against real Scalars, ints, Fractions and
+    floats (inf and nan included) and converts with float(); ordering a
+    non-real one raises TypeError.  Equality with a float stays False, as
+    arithmetic with one is refused.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -260,12 +263,8 @@ class Scalar:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        # hash(Fraction) of a real value, hash((re, im)) of a non-real one
-        a, b, d = self._a, self._b, self._d
-        if not b:
-            return hash(a) if d == 1 else _rational_hash(a, d)
-        g, h = gcd(a, d), gcd(b, d)
-        return hash((_rational_hash(a // g, d // g), _rational_hash(b // h, d // h)))
+        # equal values hash equal: a real Scalar hashes as its Fraction
+        return hash((self.re, self.im)) if self._b else hash(self.re)
 
     def __lt__(self, other):
         if type(other) is Scalar and not (self._b or other._b):
@@ -332,21 +331,6 @@ def _gaussian(re, im):
     d = q * s // gcd(q, s)
     # each part is in lowest terms, so gcd(a, b, d) == 1 already
     return p * (d // q), r * (d // s), d
-
-
-_HASH_MODULUS = sys.hash_info.modulus
-
-
-def _rational_hash(n, d):
-    """hash(Fraction(n, d)) for n / d in lowest terms, d > 0, computed as
-    CPython does it (sys.hash_info) without building the Fraction."""
-    try:
-        h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
-    except ValueError:
-        # d is a multiple of the modulus: no inverse
-        h = sys.hash_info.inf
-    h = h if n >= 0 else -h
-    return -2 if h == -1 else h
 
 
 def _order(s, other, op):
@@ -597,6 +581,9 @@ class DeltaTerm:
         return "DeltaTerm(%s, %d, %s)" % (self.point, self.order, self.coeff.token())
 
 
+_place = operator.attrgetter("point", "order")
+
+
 class PiecewiseDist:
     """Canonical piecewise polynomial plus point masses; see module docstring.
 
@@ -624,40 +611,40 @@ class PiecewiseDist:
                 % (len(pts) + 1, len(pts), len(ps))
             )
 
-        merged = {}
-        for d in deltas:
-            if not isinstance(d, DeltaTerm):
-                d = DeltaTerm(*d)
-            key = (d.point, d.order)
-            merged[key] = merged.get(key, _ZERO) + d.coeff
-        ds = [
-            DeltaTerm(p, o, c)
-            for (p, o), c in sorted(merged.items())
-            if not c.is_zero
-        ]
+        # one delta per (point, order), in that order: sorting brings the
+        # summands of each place together, and a lone one is kept as given
+        ds = []
+        raw = (d if isinstance(d, DeltaTerm) else DeltaTerm(*d) for d in deltas)
+        for (p, o), same in groupby(sorted(raw, key=_place), key=_place):
+            d, *more = same
+            if more:
+                d = DeltaTerm(p, o, sum((e.coeff for e in more), d.coeff))
+            if d.coeff:
+                ds.append(d)
         for d in ds:
             if d.order > n:
                 raise RegularityError(
                     "delta order %d not allowed at regularity index %d"
                     % (d.order, n)
                 )
-            k = bisect_left(pts, d.point)
-            if k == len(pts) or pts[k] != d.point:
-                pts.insert(k, d.point)
-                ps.insert(k, ps[k])
 
-        delta_points = {d.point for d in ds}
-        k = 0
-        while k < len(pts):
-            if pts[k] not in delta_points and ps[k] == ps[k + 1]:
-                del pts[k]
-                del ps[k + 1]
-            else:
-                k += 1
+        # walk the breakpoints and the delta points in order: a delta point
+        # splits the piece covering it, and a point stays if it holds a
+        # delta or the pieces on its two sides differ
+        held = [p for p, _ in groupby(d.point for d in ds)]
+        kept, kept_ps, j = [], [ps[0]], 0
+        for p, _ in groupby(sorted(pts + held)):
+            right = ps[bisect_right(pts, p)]
+            if j < len(held) and held[j] == p:
+                j += 1
+            elif right == kept_ps[-1]:
+                continue
+            kept.append(p)
+            kept_ps.append(right)
 
         self.n = n
-        self.breakpoints = tuple(pts)
-        self.pieces = tuple(ps)
+        self.breakpoints = tuple(kept)
+        self.pieces = tuple(kept_ps)
         self.deltas = tuple(ds)
 
     # -- canonical content ------------------------------------------------
@@ -786,7 +773,8 @@ def indicator(lo, hi, poly=1, n=0):
 def _joint(F, G):
     """The joint regularity index and merged breakpoints of F and G, and
     the pieces of each over those breakpoints."""
-    pts = sorted(set(F.breakpoints) | set(G.breakpoints))
+    # both are sorted: sorting the two runs merges them
+    pts = [p for p, _ in groupby(sorted(F.breakpoints + G.breakpoints))]
     return max(F.n, G.n), pts, F.pieces_over(pts), G.pieces_over(pts)
 
 

@@ -524,6 +524,14 @@ class _Records:
         return self.items[self.k][0] if self.k < len(self.items) else None
 
 
+def _natural(word):
+    """The int that word writes in ASCII digits (read by Scalar, which
+    names the digit limit past it)."""
+    if not (word.isascii() and word.isdigit()):
+        raise ValueError("%r is not a nonnegative integer" % word)
+    return Scalar(word)._a
+
+
 def _scalar_list(vals, off):
     return [_read(off, parse_scalar, v) for v in vals]
 
@@ -552,9 +560,9 @@ def decode(text):
 
 def _decode_dist(rec):
     name, vals, off = rec.next("n")
-    if len(vals) != 1 or not vals[0].isdigit():
+    if len(vals) != 1:
         raise ExprError("'n' takes one nonnegative integer", off)
-    n = int(vals[0])
+    n = _read(off, _natural, vals[0])
     name, vals, off = rec.next("breakpoints")
     breakpoints = [_read(off, as_point, v) for v in vals]
     pieces = []
@@ -569,7 +577,7 @@ def _decode_dist(rec):
             if len(vals) != 3:
                 raise ExprError("'delta' takes point, order, coeff", off)
             deltas.append(DeltaTerm(_read(off, as_point, vals[0]),
-                                    _read(off, int, vals[1]),
+                                    _read(off, _natural, vals[1]),
                                     _read(off, parse_scalar, vals[2])))
         else:
             break

@@ -1,3 +1,4 @@
+import bisect
 import math
 import operator
 import random
@@ -30,10 +31,11 @@ from deltastar import (
     parse_scalar,
     restrict,
     scale,
+    star,
     zero,
 )
 from deltastar.dist_core import reindex
-from deltastar.expr_io import format_dist, parse_dist
+from deltastar.expr_io import decode, encode, format_dist, parse_dist
 from helpers import rand_dist, rand_poly, rand_scalar
 
 
@@ -408,3 +410,109 @@ def test_reflected_products_match_right_products(seed, s, token):
     for left in (0.5, 1j, [1], object(), F):
         with pytest.raises(TypeError):
             left * P
+
+
+# -- canonical form from raw constructor input ---------------------------------
+
+# few points, pieces and coefficients, so that deltas pile up at one place,
+# cancel, miss the breakpoints, and neighbouring pieces are often equal
+_POINTS = [Fraction(k, 2) for k in range(-4, 5)]
+_PIECES = [Poly(), Poly([1]), Poly([0, 1]), Poly([Scalar(1, 1)])]
+_COEFFS = [Scalar(c) for c in (0, 1, -1, 2, "1/2")] + [Scalar(0, 1)]
+_raw_deltas = st.lists(
+    st.tuples(st.sampled_from(_POINTS), st.integers(0, 2),
+              st.sampled_from(_COEFFS), st.booleans()),
+    max_size=12,
+)
+
+
+@st.composite
+def _raw_parts(draw):
+    pts = sorted(draw(st.sets(st.sampled_from(_POINTS), max_size=6)))
+    pieces = draw(st.lists(st.sampled_from(_PIECES),
+                           min_size=len(pts) + 1, max_size=len(pts) + 1))
+    raw = draw(_raw_deltas)
+    # the negation of some of them: places whose sum is zero
+    if raw:
+        raw += [(p, o, -c, t) for p, o, c, t in
+                draw(st.lists(st.sampled_from(raw), max_size=3))]
+    return pts, pieces, raw
+
+
+def _given(raw):
+    """Deltas as the constructor takes them: a tuple or a DeltaTerm."""
+    return [(p, o, c) if as_tuple else DeltaTerm(p, o, c)
+            for p, o, c, as_tuple in raw]
+
+
+def _piece_at(pts, pieces, x):
+    return pieces[bisect.bisect_right(pts, x)]
+
+
+@_MODEL
+@given(parts=_raw_parts(), data=st.data())
+def test_constructor_gives_the_canonical_form_of_raw_parts(parts, data):
+    pts, pieces, raw = parts
+    F = PiecewiseDist(2, pts, pieces, _given(raw))
+    got_pts = [p.re for p in F.breakpoints]
+    assert all(a < b for a, b in zip(got_pts, got_pts[1:]))
+    places = [(d.point.re, d.order) for d in F.deltas]
+    assert places == sorted(set(places))
+    assert all(d.coeff for d in F.deltas)
+    held = {p for p, _ in places}
+    assert held <= set(got_pts)
+    for k, p in enumerate(got_pts):
+        assert p in held or F.pieces[k] != F.pieces[k + 1]
+    # the same coefficient sums per (point, order) as the raw deltas
+    sums = {}
+    for p, o, c, _ in raw:
+        sums[p, o] = sums.get((p, o), Scalar(0)) + c
+    assert {k: c for k, c in sums.items() if c} == {
+        (d.point.re, d.order): d.coeff for d in F.deltas}
+    # the same pieces as the raw input: sample every gap between the raw
+    # and the canonical points, which is inside one piece of each
+    marks = sorted(set(pts) | set(got_pts) | {p for p, _, _, _ in raw})
+    samples = [(a + b) / 2 for a, b in zip(marks, marks[1:])]
+    samples += [marks[0] - 1, marks[-1] + 1] if marks else [0]
+    for x in samples:
+        assert _piece_at(F.breakpoints, F.pieces, x) == _piece_at(pts, pieces, x)
+    # the order of the deltas and how a coefficient is split do not matter
+    shuffled = data.draw(st.permutations(raw))
+    assert PiecewiseDist(2, pts, pieces, _given(shuffled)) == F
+    if raw:
+        k = data.draw(st.integers(0, len(raw) - 1))
+        s = data.draw(st.sampled_from(_COEFFS))
+        p, o, c, as_tuple = raw[k]
+        split = raw[:k] + [(p, o, c - s, as_tuple), (p, o, s, not as_tuple)] + raw[k + 1:]
+        assert PiecewiseDist(2, pts, pieces, _given(split)) == F
+
+
+def test_the_exact_path_hashes_no_scalar(monkeypatch):
+    # canonical form is built from the order of points, never their hash
+    def refuse(self):
+        raise AssertionError("Scalar %s was hashed" % self.token())
+
+    monkeypatch.setattr(Scalar, "__hash__", refuse)
+    rng = random.Random(303)
+    texts = [
+        "delta(1/3) + piece(0,1/2: x) - delta(1/3) + 2*delta'(1/3)"
+        " + piece(1/2,1: x) + delta(1/3)*piece(-inf,inf: 1+x)",
+        "D(heaviside(-1/2)*piece(-1,1: 1 + 2i*x^2)) - 3*delta^2(0)*heaviside(0)",
+        "(1/2 - i)*(delta'(1) + heaviside(1)*delta(1)) + 0.25*piece(-inf,1: x)",
+    ]
+    for _ in range(40):
+        F = rand_dist(rng, n=2, max_order=2)
+        G = rand_dist(rng, n=1)
+        P = star(F, G)
+        S = add(derivative(P), F)
+        for H in (P, S, scale(rand_scalar(rng) or 1, S), reindex(S, 5)):
+            text = format_dist(H)
+            texts.append(text)
+            assert parse_dist(text) == H
+            assert decode(encode(H)) == H
+    for text in texts:
+        F = parse_dist(text)
+        assert decode(encode(F)) == F
+        assert parse_dist(format_dist(F)) == F
+    with pytest.raises(AssertionError, match="was hashed"):
+        hash(Scalar(1, 2))

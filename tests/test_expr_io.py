@@ -290,3 +290,25 @@ def test_codec_rejects_malformed_records():
     ):
         with pytest.raises(ExprError):
             decode(bad)
+    # the integer fields take ASCII digits only, and every failure is an
+    # ExprError at the offset of its line
+    long = "7" * 5000
+    delta = "dist\nn 1\nbreakpoints 0\npiece 0\npiece 0\ndelta 0 %s 1\nend\n"
+    for bad, pos, message in (
+        ("dist\nn \u00b2\nbreakpoints\npiece 0\nend\n", 5,
+         "'\u00b2' is not a nonnegative integer"),
+        ("dist\nn \u0663\nbreakpoints\npiece 0\nend\n", 5,
+         "'\u0663' is not a nonnegative integer"),
+        ("dist\nn -1\nbreakpoints\npiece 0\nend\n", 5,
+         "'-1' is not a nonnegative integer"),
+        ("dist\nn %s\nbreakpoints\npiece 0\nend\n" % long, 5,
+         "number has more than 4300 digits"),
+        (delta % long, 39, "number has more than 4300 digits"),
+        (delta % "\u00b2", 39, "'\u00b2' is not a nonnegative integer"),
+        (delta % "-1", 39, "'-1' is not a nonnegative integer"),
+        (delta % "1_0", 39, "'1_0' is not a nonnegative integer"),
+    ):
+        with pytest.raises(ExprError) as info:
+            decode(bad)
+        assert info.value.pos == pos
+        assert str(info.value) == "%s at offset %d" % (message, pos)
