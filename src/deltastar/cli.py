@@ -256,6 +256,9 @@ def _cmd_spectrum(args):
         if len(grid) != 3:
             raise ExprError("--grid takes EPS,L,N")
         eps, L, N = grid
+        for name, value in (("EPS", eps), ("L", L)):
+            if not math.isfinite(value):
+                raise PreconditionError("--grid %s=%g is not finite" % (name, value))
         if not N.is_integer():
             raise PreconditionError("--grid N=%g is not a whole number" % N)
         strength = args.strength

@@ -51,6 +51,7 @@ import re
 from .boundary_ops import (
     DeltaPrimeFamily,
     PointPotential,
+    PreconditionError,
     PseudoPotential,
 )
 from .dist_core import (
@@ -551,7 +552,7 @@ def decode(text):
         record = _RECORDS.get(head + " " + kind)
         if record is not None:
             return _decode_fields(rec, *record)
-    except AlgebraError as exc:
+    except (AlgebraError, PreconditionError) as exc:
         raise ExprError(str(exc), off) from exc
     if head in ("opspec", "classification"):
         raise ExprError("unknown %s kind '%s'" % (head, kind), off)
@@ -571,14 +572,18 @@ def _decode_dist(rec):
         key = rec.peek_key()
         if key == "piece":
             _, vals, off = rec.next()
-            pieces.append(Poly(_scalar_list(vals, off)))
+            pieces.append(_read(off, Poly, _scalar_list(vals, off)))
         elif key == "delta":
             _, vals, off = rec.next()
             if len(vals) != 3:
                 raise ExprError("'delta' takes point, order, coeff", off)
-            deltas.append(DeltaTerm(_read(off, as_point, vals[0]),
-                                    _read(off, _natural, vals[1]),
-                                    _read(off, parse_scalar, vals[2])))
+            delta = DeltaTerm(_read(off, as_point, vals[0]),
+                              _read(off, _natural, vals[1]),
+                              _read(off, parse_scalar, vals[2]))
+            if delta.order > n:
+                raise ExprError("delta order %d not allowed at regularity "
+                                "index %d" % (delta.order, n), off)
+            deltas.append(delta)
         else:
             break
     rec.next("end")

@@ -362,13 +362,18 @@ def grid_hamiltonian(L, N, potential=None):
         raise PreconditionError(_GRID_NEEDS) from None
 
     h = 2.0 * L / (N + 1)
+    # the stencil's 2/h^2 and -1/h^2 must be finite nonzero floats
+    if not (0.0 < h * h < math.inf and 2.0 / (h * h) < math.inf):
+        raise PreconditionError(
+            "the grid over [-%g, %g] with N=%d has spacing h=%g, whose "
+            "1/h^2 is not a finite nonzero float" % (L, L, N, h))
     x = -L + h * (np.arange(N) + 1)
     v = np.zeros(N) if potential is None else np.array(
         [float(potential(float(xi))) for xi in x]
     )
-    if not np.isfinite(v).all():
-        raise PreconditionError("the potential is not finite on the grid")
     diag = 2.0 / (h * h) + v
+    if not np.isfinite(diag).all():
+        raise PreconditionError("the potential is not finite on the grid")
     offdiag = np.full(N - 1, -1.0 / (h * h))
     return GridHamiltonian(L, N, x, diag, offdiag)
 
@@ -378,11 +383,16 @@ def grid_eigenvalues(H, m):
     if not 1 <= m <= H.N:
         raise PreconditionError("need 1 <= m <= N eigenvalues")
     try:
-        from scipy.linalg import eigvalsh_tridiagonal
+        from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
     except ImportError:
         raise PreconditionError(_GRID_NEEDS) from None
 
-    vals = eigvalsh_tridiagonal(
-        H.diag, H.offdiag, select="i", select_range=(0, m - 1)
-    )
+    try:
+        vals = eigvalsh_tridiagonal(
+            H.diag, H.offdiag, select="i", select_range=(0, m - 1)
+        )
+    except LinAlgError as exc:
+        raise PreconditionError(
+            "the eigensolver failed on the grid over [-%g, %g] with N=%d: %s"
+            % (H.L, H.L, H.N, exc)) from None
     return [float(v) for v in vals]

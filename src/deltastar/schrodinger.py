@@ -90,10 +90,15 @@ class BCMatrix:
     cut out the same domain.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_minors")
 
     def __init__(self, rows):
         self.rows = tuple(row for row in map(_row, rows) if any(row))
+        # the rows themselves when there are two, else the reduced rows;
+        # two zero rows, whose minors all vanish, unless that leaves two
+        pair = self.rows if len(self.rows) == 2 else self.reduced()
+        r1, r2 = pair if len(pair) == 2 else ((_ZERO,) * 4,) * 2
+        self._minors = tuple(r1[i] * r2[j] - r1[j] * r2[i] for i, j in _PAIRS)
 
     def reduced(self):
         return _rref(self.rows)
@@ -115,24 +120,22 @@ class BCMatrix:
 
     @property
     def self_adjoint(self):
-        """Kostrykin-Schrader criterion (J. Phys. A 32 (1999) 595).
-
-        Writing the conditions as A (p, q) + B (r, -s) = 0, they give a
-        self-adjoint operator iff rank [A|B] = 2 and A B* is Hermitian.
-        Both tests are invariant under row operations, so any two rows
-        spanning the conditions will do; the rank is 2 iff some minor is
-        nonzero.
+        """Kostrykin-Schrader criterion (J. Phys. A 32 (1999) 595), read
+        off the minors: the row space must have rank 2 and equal its own
+        annihilator under the boundary form, i.e. be Lagrangian (Harmer,
+        J. Phys. A 33 (2000) 9193).  That annihilator's Pluecker vector is
+        the Hodge dual of the conjugate, so the test is that some minor is
+        nonzero and (m01, m03, m12, m23, m02, m13) is a multiple of the
+        conjugate of (m01, m03, m12, m23, m13, m02).
         """
-        if not any(minors(self)):
+        m01, m02, m03, m12, m13, m23 = self._minors
+        lhs = (m01, m03, m12, m23, m02, m13)
+        rhs = (m01, m03, m12, m23, m13, m02)
+        k = next((k for k, m in enumerate(lhs) if m), None)
+        if k is None or not rhs[k]:
             return False
-        rows = _spanning_rows(self)
-        b_conj = [(row[2].conjugate(), row[3].conjugate()) for row in rows]
-        ab = [[p * r - q * s for r, s in b_conj] for p, q, _, _ in rows]
-        return (
-            ab[0][0].is_real
-            and ab[1][1].is_real
-            and ab[0][1] == ab[1][0].conjugate()
-        )
+        scale = lhs[k] / rhs[k].conjugate()
+        return all(x == scale * y.conjugate() for x, y in zip(lhs, rhs))
 
     def kernel_basis(self):
         """Jets satisfying the conditions, one 4-tuple per free column."""
@@ -160,22 +163,14 @@ class BCMatrix:
         )
 
 
-def _spanning_rows(bc):
-    """The rows themselves when there are two, else the reduced rows;
-    two zero rows unless that leaves exactly two."""
-    rows = bc.rows if len(bc.rows) == 2 else bc.reduced()
-    return rows if len(rows) == 2 else ((_ZERO,) * 4,) * 2
-
-
 def minors(bc):
     """(m01, m02, m03, m12, m13, m23), m_ij = r1_i r2_j - r1_j r2_i.
 
     r1, r2 are two rows spanning the conditions, so the minors fix the
     row space up to one common factor.  All six are zero unless the
-    conditions have rank 2.
+    conditions have rank 2.  Computed once, when bc is built.
     """
-    r1, r2 = _spanning_rows(bc)
-    return tuple(r1[i] * r2[j] - r1[j] * r2[i] for i, j in _PAIRS)
+    return bc._minors
 
 
 def extract_bc(spec):

@@ -378,6 +378,33 @@ def test_grid_size_is_a_whole_number(capsys):
         assert err == "error: --grid N=%s is not a whole number\n" % N
 
 
+def test_grid_past_the_float_range_exits_3(capsys):
+    # 1e-300 was a ZeroDivisionError traceback; 1e-150 a LAPACK failure
+    # and 1e-151 scipy's "must not contain infs or NaNs", both parse
+    # errors; a non-finite L or EPS read "below twice the grid spacing
+    # h=nan", or, for EPS=inf, ran with a zero potential
+    for flags, message in (
+        (["--grid=0.05,1e-300,4000"], "the grid over [-1e-300, 1e-300] with "
+         "N=4000 has spacing h=4.99875e-304, whose 1/h^2 is not a finite "
+         "nonzero float"),
+        (["--strength=0", "--grid=0.05,1e300,4000"], "the grid over [-1e+300, 1e+300] with "
+         "N=4000 has spacing h=4.99875e+296, whose 1/h^2 is not a finite "
+         "nonzero float"),
+        (["--strength=0", "--grid=0.05,1e-151,4000"], "the grid over "
+         "[-1e-151, 1e-151] with N=4000 has spacing h=4.99875e-155, whose "
+         "1/h^2 is not a finite nonzero float"),
+        (["--grid=0.05,1e-150,4000"], "the eigensolver failed on the grid "
+         "over [-1e-150, 1e-150] with N=4000: "),
+        (["--grid=nan,20,4000"], "--grid EPS=nan is not finite"),
+        (["--grid=inf,20,4000"], "--grid EPS=inf is not finite"),
+        (["--grid=0.05,nan,4000"], "--grid L=nan is not finite"),
+        (["--grid=0.05,-inf,4000"], "--grid L=-inf is not finite"),
+    ):
+        rc, out, err = run(capsys, "spectrum", "--delta=-2", *flags)
+        assert rc == 3 and out == "", flags
+        assert err.startswith("error: " + message), err
+
+
 _HUGE_GRID = """
 import sys
 from deltastar import cli

@@ -307,6 +307,14 @@ def test_codec_rejects_malformed_records():
         (delta % "\u00b2", 39, "'\u00b2' is not a nonnegative integer"),
         (delta % "-1", 39, "'-1' is not a nonnegative integer"),
         (delta % "1_0", 39, "'1_0' is not a nonnegative integer"),
+        # a piece past the degree cap and a delta order above n were
+        # reported at the header; a rejected spec raised PreconditionError
+        ("dist\nn 0\nbreakpoints\npiece 1 0 0 0 0 0 0 0 0 0 0 1\nend\n", 21,
+         "polynomial degree 11 exceeds cap 8"),
+        (delta % "3", 39, "delta order 3 not allowed at regularity index 1"),
+        ("opspec pseudo\ndirect 0 0 0 0\nafter_dx 0 0 1 0\n"
+         "dx_after_dx 0 0 0 0\nend\n", 0,
+         "after_dx must be order 0 (no delta' coefficients)"),
     ):
         with pytest.raises(ExprError) as info:
             decode(bad)

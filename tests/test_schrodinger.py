@@ -173,6 +173,33 @@ def test_classify_matches_definition_oracle():
             assert (kind, outcome) in seen, (kind, outcome)
 
 
+def test_self_adjoint_matches_definition_at_every_rank():
+    rng = random.Random(615)
+
+    def row():
+        return [rand_scalar(rng) for _ in range(4)]
+
+    unit = [[int(i == j) for j in range(4)] for i in range(4)]
+    r = row()
+    bcs = [extract_bc(spec) for spec in oracle_corpus()]
+    bcs += [BCMatrix([]), BCMatrix([r]), BCMatrix([r, [2 * e for e in r]]),
+            BCMatrix(unit[:3]), BCMatrix(unit), BCMatrix([row() for _ in range(3)]),
+            BCMatrix([row() for _ in range(4)])]
+    assert [bc.rank for bc in bcs[-7:]] == [0, 1, 1, 3, 4, 3, 4]
+    # invertible recombinations of two rows span the same space, and so
+    # does the pair with a combination of it appended
+    for bc in [bc for bc in bcs if len(bc.rows) == 2]:
+        while True:
+            m = [[rand_scalar(rng) for _ in range(2)] for _ in range(2)]
+            if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
+                break
+        mixed = [[a * x + b * y for x, y in zip(*bc.rows)] for a, b in m]
+        bcs += [BCMatrix(mixed), BCMatrix(mixed + [[x - y for x, y in zip(*mixed)]])]
+    verdicts = [bc.self_adjoint for bc in bcs]
+    assert verdicts == [self_adjoint_by_definition(bc) for bc in bcs]
+    assert 150 < sum(verdicts) < len(bcs) - 150
+
+
 def _abs2(z):
     return z * z.conjugate()
 
