@@ -105,8 +105,8 @@ def _cmd_classify(args):
         parse_scalar(args.b1),
         parse_scalar(args.b2),
     )
-    record = encode(classify(spec))
     bc = extract_bc(spec)
+    record = encode(classify(bc))
     bc_record = encode(bc)
     notes = {name: v.token() for name, v in _special_forms(bc).items()}
     payload = {
@@ -306,8 +306,26 @@ def _cmd_weaklimit(args):
 # -- parser -----------------------------------------------------------------
 
 
+class _Store(argparse.Action):
+    """argparse's store, refusing the value of "--X=--": argparse strips
+    the "--" and would store the empty list left over."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if isinstance(values, list):
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, and its subparsers, whose arguments store through _Store."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.register("action", None, _Store)
+
+
 def build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="deltastar",
         description="one-sided distribution products and point interactions",
     )

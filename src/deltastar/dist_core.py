@@ -846,19 +846,15 @@ def order_of(F):
 def n_sing_supp(F, k):
     """Points where F fails to be k-times continuously differentiable.
 
-    Delta locations always qualify; a breakpoint qualifies when the
-    one-sided derivative values of orders 0..k disagree.
+    These are the delta points of the (k+1)-th derivative: each
+    derivative moves F's deltas up one order and adds the jumps of its
+    pieces, so no two land on the same order.  A piece of degree m has no
+    jump above order m, so derivatives past the highest degree add no
+    point and are not taken.
     """
-    bad = {d.point for d in F.deltas}
-    for i, p in enumerate(F.breakpoints):
-        if p in bad:
-            continue
-        left, right = F.pieces[i], F.pieces[i + 1]
-        for j in range(k + 1):
-            if left.deriv(j).eval(p) != right.deriv(j).eval(p):
-                bad.add(p)
-                break
-    return tuple(sorted(bad))
+    for _ in range(min(k, max(p.degree for p in F.pieces)) + 1):
+        F = derivative(F)
+    return tuple(p for p, _ in groupby(d.point for d in F.deltas))
 
 
 def hormander_product(F, G):
@@ -870,11 +866,10 @@ def hormander_product(F, G):
     star, which reads it from one side, gives the classical product.
     """
     n = max(F.n, G.n)
-    overlap = set(n_sing_supp(F, n)) & set(n_sing_supp(G, n))
+    theirs = n_sing_supp(G, n)
+    overlap = [p for p in n_sing_supp(F, n) if p in theirs]
     if overlap:
-        raise DisjointnessError(
-            "singular supports meet at %s" % sorted(overlap)
-        )
+        raise DisjointnessError("singular supports meet at %s" % overlap)
     return star(F, G)
 
 
@@ -922,9 +917,12 @@ def derivative(F):
     return PiecewiseDist(n, F.breakpoints, [p.deriv() for p in F.pieces], deltas)
 
 
-def _open_interval(interval):
-    """The bounds of an open interval as points (None is infinite) and a
-    test for lying strictly inside it."""
+def restrict(F, interval):
+    """Restriction to an open interval (lo, hi); None bounds are infinite.
+
+    Pieces are zeroed outside, finite endpoints become breakpoints, and
+    deltas survive only strictly inside the interval.
+    """
     lo, hi = interval
     lo = None if lo is None else as_point(lo)
     hi = None if hi is None else as_point(hi)
@@ -934,16 +932,6 @@ def _open_interval(interval):
     def inside(x):
         return (lo is None or lo < x) and (hi is None or x < hi)
 
-    return lo, hi, inside
-
-
-def restrict(F, interval):
-    """Restriction to an open interval (lo, hi); None bounds are infinite.
-
-    Pieces are zeroed outside, finite endpoints become breakpoints, and
-    deltas survive only strictly inside the interval.
-    """
-    lo, hi, inside = _open_interval(interval)
     pts = [] if lo is None else [lo]
     pts += [p for p in F.breakpoints if inside(p)]
     if hi is not None:
@@ -961,22 +949,16 @@ def restrict(F, interval):
 def pair_polynomial_test(F, t, interval=(None, None)):
     """Exact pairing <F, t> against a polynomial test function.
 
-    t is treated as compactly supported on the (open) interval: pieces are
-    integrated over it and deltas strictly inside contribute
+    t is treated as compactly supported on the (open) interval: F is
+    restricted to it, its pieces are integrated and its deltas contribute
     (-1)^order coeff t^(order)(point).  An infinite part of the interval
     where both the piece and t are nonzero raises DivergentIntegralError.
     """
     t = as_poly(t)
-    lo, hi, inside = _open_interval(interval)
-    bounds = [lo] + [p for p in F.breakpoints if inside(p)] + [hi]
+    F = restrict(F, interval)
+    bounds = (None,) + F.breakpoints + (None,)
     total = Scalar(0)
-    for a, b in zip(bounds, bounds[1:]):
-        if a is not None:
-            piece = F.piece_right_of(a)
-        elif b is not None:
-            piece = F.piece_left_of(b)
-        else:
-            piece = F.pieces[0]
+    for a, b, piece in zip(bounds, bounds[1:], F.pieces):
         if piece.is_zero or t.is_zero:
             continue
         if a is None or b is None:
@@ -992,8 +974,7 @@ def pair_polynomial_test(F, t, interval=(None, None)):
             for k, ct in enumerate(t.coeffs):
                 total = total + cf * ct * ints[j + k]
     for d in F.deltas:
-        if inside(d.point):
-            total = total + d.coeff * t.deriv(d.order).eval(d.point) * (
-                (-1) ** d.order
-            )
+        total = total + d.coeff * t.deriv(d.order).eval(d.point) * (
+            (-1) ** d.order
+        )
     return total

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from .boundary_ops import PreconditionError, SidedDelta, apply_shifting_delta_dist
 from .dist_core import Poly, Scalar, as_poly, pair_polynomial_test
-from .schrodinger import BCMatrix, extract_bc, minors
+from .schrodinger import extract_bc, minors
 
 if TYPE_CHECKING:
     import numpy as np
@@ -262,8 +262,7 @@ def _spectral_polys(bc, rank_error):
     whose coefficients are the minors m_ij of the rows
     (schrodinger.minors).  Below rank 2 every minor is zero.
     """
-    m01, m02, m03, m12, m13, m23 = minors(
-        bc if isinstance(bc, BCMatrix) else extract_bc(bc))
+    m01, m02, m03, m12, m13, m23 = minors(extract_bc(bc))
     if not any((m01, m02, m03, m12, m13, m23)):
         raise PreconditionError(rank_error)
     return (

@@ -174,7 +174,16 @@ def minors(bc):
 
 
 def extract_bc(spec):
-    """Boundary-condition matrix of a point perturbation."""
+    """Boundary-condition matrix of an operator.
+
+    spec is an operator spec (its constraint_rows), a self-adjoint
+    classification (the two rows it stands for), or a BCMatrix, which is
+    returned as it is.
+    """
+    if isinstance(spec, BCMatrix):
+        return spec
+    if isinstance(spec, (InteractingSA, SeparatingSA)):
+        return BCMatrix(_classification_rows(spec))
     return BCMatrix(constraint_rows(spec))
 
 
@@ -216,6 +225,17 @@ class NotSelfAdjoint:
     bc: BCMatrix
 
 
+def _classification_rows(k):
+    """Two rows spanning the conditions a self-adjoint classification
+    stands for: the module docstring's, the interacting first row
+    negated.  Zero rows are kept."""
+    if isinstance(k, InteractingSA):
+        bb = k.b.conjugate()
+        return (k.c, k.c, 1 - k.b, -1 - k.b), (bb + 1, bb - 1, k.a, k.a)
+    return ((_ZERO, -k.b_plus, _ZERO, k.a_plus),
+            (-k.b_minus, _ZERO, k.a_minus, _ZERO))
+
+
 def normalize_side(a, b):
     """Normalize one side condition a psi' = b psi to (1, b/a) or (0, 1)."""
     a, b = as_scalar(a), as_scalar(b)
@@ -234,7 +254,8 @@ def separating_sa(a_minus, b_minus, a_plus, b_plus):
 
 
 def classify(spec):
-    """Exact self-adjointness classification of any operator spec.
+    """Exact self-adjointness classification of any operator spec, or of
+    the conditions of a BCMatrix or a classification (extract_bc).
 
     Reads the minors m_ij of the boundary-condition rows: NotSelfAdjoint
     when the rows fail the Kostrykin-Schrader criterion; SeparatingSA when
@@ -340,9 +361,7 @@ def interacting_pseudo(a, b, c):
     a*(D o sum o D) + conj(b)*(D o sum), where sum is the order-0
     sided-delta sum.
     """
-    a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
-    bb = b.conjugate()
-    return represent_from_bc((c, c, 1 - b, -1 - b), (bb + 1, bb - 1, a, a))
+    return represent_from_bc(*_classification_rows(InteractingSA(a, b, c)))
 
 
 def represent_interacting(a, b, c):
@@ -418,10 +437,8 @@ class SeparatingFamily:
 def separating_pseudo(a_minus, b_minus, a_plus, b_plus):
     """PseudoPotential realizing arbitrary one-sided conditions
     a psi'(0-/+) = b psi(0-/+)."""
-    return represent_from_bc(
-        (_ZERO, -as_scalar(b_plus), _ZERO, as_scalar(a_plus)),
-        (-as_scalar(b_minus), _ZERO, as_scalar(a_minus), _ZERO),
-    )
+    sides = SeparatingSA(a_minus, b_minus, a_plus, b_plus)
+    return represent_from_bc(*_classification_rows(sides))
 
 
 def represent_separating(a_minus, b_minus, a_plus, b_plus):
@@ -563,17 +580,11 @@ def boundary_form_raw(psi, phi):
 def sesquilinear_form(spec_or_classification, psi, phi):
     """Boundary part of the operator's sesquilinear form on jets.
 
-    Accepts any operator spec, or a self-adjoint classification standing
-    for the PseudoPotential that realizes its conditions.  Defined only
-    for self-adjoint conditions; on jets satisfying them the form is the
-    boundary term boundary_form_raw.
+    Accepts whatever extract_bc does: an operator spec, a classification
+    or a BCMatrix.  Defined only for self-adjoint conditions; on jets
+    satisfying them the form is the boundary term boundary_form_raw.
     """
-    x = spec_or_classification
-    if isinstance(x, InteractingSA):
-        x = interacting_pseudo(x.a, x.b, x.c)
-    elif isinstance(x, SeparatingSA):
-        x = separating_pseudo(x.a_minus, x.b_minus, x.a_plus, x.b_plus)
-    if not extract_bc(x).self_adjoint:
+    if not extract_bc(spec_or_classification).self_adjoint:
         raise PreconditionError(
             "the boundary form is only defined for self-adjoint conditions"
         )

@@ -1,7 +1,8 @@
 """Shared random generators for the property tests.
 
 Everything takes an explicit random.Random so each test controls its own
-seed; coefficients are exact rationals (optionally with an imaginary
+seed (``oracle_corpus`` seeds its own, so every test reads the same specs);
+coefficients are exact rationals (optionally with an imaginary
 part) so all comparisons downstream stay exact.  Two helpers are
 references sharing no code with what they check: ``self_adjoint_by_definition``
 for ``classify``, and the float ``even_ground_state`` for the grid
@@ -9,14 +10,24 @@ Hamiltonian.
 """
 
 import math
+import random
 from fractions import Fraction
 
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from deltastar import DeltaTerm, PiecewiseDist, Poly, Scalar
-from deltastar.boundary_ops import BoundaryJet
-from deltastar.schrodinger import boundary_form_raw
+from deltastar.boundary_ops import (
+    BoundaryJet,
+    DeltaPrimeFamily,
+    PointPotential,
+    PseudoPotential,
+)
+from deltastar.schrodinger import (
+    boundary_form_raw,
+    interacting_pseudo,
+    separating_pseudo,
+)
 
 
 def rand_frac(rng, span=3, dens=(1, 2, 3, 4)):
@@ -62,6 +73,41 @@ def rand_jet(rng, span=4):
 
 def jet_from_vector(v):
     return BoundaryJet(v[0], v[1], v[2], v[3])
+
+
+def oracle_corpus():
+    """Seeded specs of every kind, with self-adjoint cases of each."""
+    rng = random.Random(612)
+    slopes = [Scalar(x) for x in (1, -1, 0, Fraction(1, 3), -2)] + [Scalar(1, 1)]
+
+    def small():
+        return rng.choice((-1, 0, 1, 2, Fraction(1, 2)))
+
+    specs = [PointPotential(0, 3, -1, -1)]  # Neumann-Dirichlet: right row first
+    for _ in range(60):
+        b1 = rng.choice(slopes)
+        b2 = rng.choice((b1, -b1, b1.conjugate(), rng.choice(slopes)))
+        c1 = rand_scalar(rng, imag_rate=0.15)
+        c2 = rng.choice((c1, -c1, rand_scalar(rng, imag_rate=0.15)))
+        specs.append(PointPotential(c1, c2, b1, b2))
+    for _ in range(30):
+        a, c = rand_frac(rng), rand_frac(rng)
+        if rng.random() < 0.3:
+            a = Scalar(a, 1)  # a complex a breaks self-adjointness
+        specs.append(interacting_pseudo(a, rand_scalar(rng), c))
+        am, bm = rng.choice((0, 1, 2)), rand_frac(rng)
+        ap, bp = rng.choice((0, 1)), rand_frac(rng)
+        if (am or bm) and (ap or bp):
+            specs.append(separating_pseudo(am, bm, ap, bp))
+    for _ in range(30):
+        specs.append(PseudoPotential(
+            [rand_scalar(rng) for _ in range(4)],
+            [rand_scalar(rng), rand_scalar(rng), 0, 0],
+            [rand_scalar(rng), rand_scalar(rng), 0, 0],
+        ))
+    for _ in range(80):
+        specs.append(DeltaPrimeFamily(small(), small(), small(), small()))
+    return specs
 
 
 def self_adjoint_by_definition(bc):

@@ -3,7 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from deltastar import Poly, Scalar, add, heaviside, indicator, zero
+from deltastar import (
+    PiecewiseDist,
+    Poly,
+    Scalar,
+    add,
+    delta_dist,
+    derivative,
+    heaviside,
+    indicator,
+    scale,
+    star,
+    zero,
+)
 from deltastar.boundary_ops import (
     BoundaryJet,
     DeltaCombo,
@@ -16,12 +28,21 @@ from deltastar.boundary_ops import (
     apply_operator,
     apply_shifting_delta,
     apply_shifting_delta_dist,
+    constraint_operator,
     constraint_rows,
     delta_diff,
     sided_delta_op,
     to_jet_operator,
 )
-from helpers import rand_frac, rand_jet, rand_scalar
+from deltastar.schrodinger import extract_bc
+from helpers import (
+    jet_from_vector,
+    oracle_corpus,
+    rand_frac,
+    rand_jet,
+    rand_poly,
+    rand_scalar,
+)
 
 
 def dist_with_jet(jet):
@@ -137,3 +158,89 @@ def test_delta_diff_samples_jump():
     jet = BoundaryJet(2, 5, 0, 0)
     combo = delta_diff(0).apply(jet)
     assert combo == DeltaCombo(3, 0)
+
+
+# -- the operator as the paper writes it ---------------------------------------
+
+
+def _sided(side, order, F):
+    """The left sided delta is star(F, delta), the right one star(delta, F)."""
+    mass = delta_dist(0, order)
+    return star(F, mass) if side == "left" else star(mass, F)
+
+
+def _block(coeffs, F):
+    """Coefficients over (left delta, right delta, left delta', right
+    delta') applied to F."""
+    out = zero()
+    for c, side, order in zip(coeffs, ("left", "right") * 2, (0, 0, 1, 1)):
+        out = add(out, scale(c, _sided(side, order, F)))
+    return out
+
+
+def _jump(F):
+    return add(_sided("right", 0, F), scale(-1, _sided("left", 0, F)))
+
+
+def hamiltonian(spec, psi):
+    """-D(D psi) + V psi, with V psi read off each spec's docstring."""
+    D = derivative
+    if isinstance(spec, PointPotential):
+        V = _block((spec.c1, spec.c2, spec.b1, spec.b2), psi)
+    elif isinstance(spec, PseudoPotential):
+        V = add(add(_block(spec.direct, psi), _block(spec.after_dx, D(psi))),
+                D(_block(spec.dx_after_dx, D(psi))))
+    else:
+        V = add(add(_block((0, 0, spec.d, spec.c), psi),
+                    scale(spec.e, D(_jump(psi)))),
+                scale(spec.f, _jump(D(psi))))
+    return add(scale(-1, D(D(psi))), V)
+
+
+def _psi(rng, jet):
+    """A piecewise quadratic with the jet at 0, sometimes with a second
+    breakpoint away from 0."""
+    pieces = [Poly([jet.psi_minus, jet.dpsi_minus, rand_scalar(rng)]),
+              Poly([jet.psi_plus, jet.dpsi_plus, rand_scalar(rng)])]
+    pts = [Fraction(0)]
+    other = rng.choice((None, Fraction(-1, 2), Fraction(1)))
+    if other is not None and other < 0:
+        pts.insert(0, other)
+        pieces.insert(0, rand_poly(rng, 2))
+    elif other is not None:
+        pts.append(other)
+        pieces.append(rand_poly(rng, 2))
+    return PiecewiseDist(0, pts, pieces)
+
+
+def _at_origin(F):
+    """The delta and delta' coefficients of F at 0."""
+    got = {d.order: d.coeff for d in F.deltas if d.point == 0}
+    assert set(got) <= {0, 1}, F
+    return DeltaCombo(got.get(0, 0), got.get(1, 0))
+
+
+def test_hamiltonian_from_the_product_gives_the_constraint_operator():
+    # star, derivative, add and scale alone, not to_jet_operator: H's
+    # delta and delta' at 0 are what constraint_operator reads off the
+    # jet, and they vanish for the jets the conditions allow
+    rng = random.Random(516)
+    specs = oracle_corpus()
+    for _ in range(30):
+        specs.append(PointPotential(*(rand_scalar(rng) for _ in range(4))))
+        specs.append(PseudoPotential(
+            [rand_scalar(rng) for _ in range(4)],
+            [rand_scalar(rng), rand_scalar(rng), 0, 0],
+            [rand_scalar(rng), rand_scalar(rng), 0, 0],
+        ))
+        specs.append(DeltaPrimeFamily(*(rand_scalar(rng) for _ in range(4))))
+    domain_jets = 0
+    for spec in specs:
+        jet = rand_jet(rng)
+        H = hamiltonian(spec, _psi(rng, jet))
+        assert _at_origin(H) == constraint_operator(spec).apply(jet), spec
+        for v in extract_bc(spec).kernel_basis():
+            H = hamiltonian(spec, _psi(rng, jet_from_vector(v)))
+            assert not any(d.point == 0 for d in H.deltas), (spec, v)
+            domain_jets += 1
+    assert len(specs) > 300 and domain_jets > 600

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import deltastar
 from deltastar import delta_dist
-from deltastar.cli import main
+from deltastar.cli import build_parser, main
 from deltastar.expr_io import decode
 from deltastar.schrodinger import InteractingSA, PseudoPotential, classify
 
@@ -358,6 +359,32 @@ def test_flags_with_no_effect_exit_2(capsys):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == "", argv
         assert err.startswith("parse error: " + message), err
+
+
+def test_double_dash_value_exits_2_naming_the_flag(capsys):
+    # argparse strips the "--" of "--X=--" and stored the empty list left
+    # over: a traceback, or a wrong answer with exit 0 (--strength ran the
+    # free grid, --k1 was dropped, --format printed text)
+    top = build_parser()
+    subparsers, = (a for a in top._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    argvs = [[name, flag + "=--"]
+             for name, parser in subparsers.choices.items()
+             for action in parser._actions if action.nargs != 0
+             for flag in action.option_strings]
+    argvs += [
+        ["spectrum", "--delta", "-2", "--grid", "0.05,20,4000", "--strength=--"],
+        ["represent", "--interacting", "0,1/2,-3/2", "--k1=--"],
+        ["classify", "--c1", "-1", "--format=--"],
+    ]
+    assert len(argvs) > 30
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exited.value.code == 2 and out == "", argv
+        flag = argv[-1][:-3]
+        assert err.endswith("error: argument %s: expected one argument\n" % flag)
 
 
 def test_grid_potential_not_finite_exits_3(capsys):

@@ -500,6 +500,7 @@ def test_the_exact_path_hashes_no_scalar(monkeypatch):
         "D(heaviside(-1/2)*piece(-1,1: 1 + 2i*x^2)) - 3*delta^2(0)*heaviside(0)",
         "(1/2 - i)*(delta'(1) + heaviside(1)*delta(1)) + 0.25*piece(-inf,1: x)",
     ]
+    outcomes = set()
     for _ in range(40):
         F = rand_dist(rng, n=2, max_order=2)
         G = rand_dist(rng, n=1)
@@ -510,6 +511,19 @@ def test_the_exact_path_hashes_no_scalar(monkeypatch):
             texts.append(text)
             assert parse_dist(text) == H
             assert decode(encode(H)) == H
+        # singular supports, and the restriction and pairing on intervals
+        # whose ends are breakpoints or not
+        for k in (-1, 0, 1, 3, 10 ** 9):
+            n_sing_supp(S, k)
+        try:
+            hormander_product(F, G)
+            outcomes.add("product")
+        except DisjointnessError:
+            outcomes.add("disjointness")
+        for interval in ((-1, 1), (Fraction(-1, 2), 0), (0, Fraction(3, 2))):
+            restrict(S, interval)
+            pair_polynomial_test(S, rand_poly(rng), interval)
+    assert outcomes == {"product", "disjointness"}
     for text in texts:
         F = parse_dist(text)
         assert decode(encode(F)) == F

@@ -33,10 +33,12 @@ from deltastar.schrodinger import (
     delta_prime_interaction,
     delta_well,
     dirichlet_specs,
+    extract_bc,
     match_continuity_jump,
     match_theta_jump,
     represent_from_bc,
 )
+from helpers import oracle_corpus
 
 
 # -- the kernel ----------------------------------------------------------------
@@ -255,6 +257,36 @@ def test_scattering_singular_conditions_flagged():
     assert math.isnan(d.t_left.real)
 
 
+def test_scattering_is_the_s_matrix_of_the_rows():
+    # with A the value columns (p, q) and B the outward-derivative columns
+    # (-r, s), the rows read A(a + b) + ik B(b - a) = 0 for incoming
+    # amplitudes a and outgoing b, so S = -(A + ikB)^-1 (A - ikB): a 2x2
+    # inverse, not the minors _spectral_polys reads
+    entries = singular = 0
+    for spec in oracle_corpus():
+        bc = extract_bc(spec)
+        if bc.rank != 2:
+            continue
+        for k in (Fraction(1, 8), Fraction(1, 2), 1, Fraction(5, 2), 3):
+            ik = Scalar(0, k)
+            plus, minus = (
+                [[p + sign * ik * -r, q + sign * ik * s] for p, q, r, s in bc.rows]
+                for sign in (1, -1))
+            det = plus[0][0] * plus[1][1] - plus[0][1] * plus[1][0]
+            d = scattering(bc, float(k))
+            assert d.singular == (not det), spec
+            if not det:
+                singular += 1
+                continue
+            inv = ((plus[1][1] / det, -plus[0][1] / det),
+                   (-plus[1][0] / det, plus[0][0] / det))
+            S = [[complex(-(inv[i][0] * minus[0][j] + inv[i][1] * minus[1][j]))
+                  for j in range(2)] for i in range(2)]
+            assert S == [[d.r_left, d.t_right], [d.t_left, d.r_right]], (spec, k)
+            entries += 4
+    assert entries > 4000 and singular > 0
+
+
 # -- bound states ------------------------------------------------------------------
 
 
@@ -398,6 +430,7 @@ def test_spectral_data_invariant_under_row_operations(rows, m, pad, k):
     kind = _outcome(classify, represent_from_bc(*rows))
     assert _outcome(classify, represent_from_bc(*mixed)) == kind
     for other in (BCMatrix(mixed), BCMatrix(padded)):
+        assert _outcome(classify, other) == kind
         for match in (match_continuity_jump, match_theta_jump):
             assert match(other) == match(bc)
         if bc.rank != 2:

@@ -16,7 +16,6 @@ from deltastar.schrodinger import (
     NotSelfAdjoint,
     OppositeSignFamily,
     PointPotential,
-    PseudoPotential,
     SeparatingFamily,
     SeparatingSA,
     boundary_form_raw,
@@ -34,7 +33,6 @@ from deltastar.schrodinger import (
     represent_from_bc,
     represent_interacting,
     represent_separating,
-    separating_pseudo,
     separating_sa,
     sesquilinear_form,
     unconstrained_spec,
@@ -42,6 +40,7 @@ from deltastar.schrodinger import (
 from deltastar.numerics import _spectral_polys
 from helpers import (
     jet_from_vector,
+    oracle_corpus,
     rand_frac,
     rand_jet,
     rand_scalar,
@@ -114,52 +113,21 @@ def classification_rows(k):
                      [0, -k.b_plus, 0, k.a_plus]])
 
 
-def oracle_corpus():
-    """Seeded specs of every kind, with self-adjoint cases of each."""
-    rng = random.Random(612)
-    slopes = [Scalar(x) for x in (1, -1, 0, Fraction(1, 3), -2)] + [Scalar(1, 1)]
-
-    def small():
-        return rng.choice((-1, 0, 1, 2, Fraction(1, 2)))
-
-    specs = [PointPotential(0, 3, -1, -1)]  # Neumann-Dirichlet: right row first
-    for _ in range(60):
-        b1 = rng.choice(slopes)
-        b2 = rng.choice((b1, -b1, b1.conjugate(), rng.choice(slopes)))
-        c1 = rand_scalar(rng, imag_rate=0.15)
-        c2 = rng.choice((c1, -c1, rand_scalar(rng, imag_rate=0.15)))
-        specs.append(PointPotential(c1, c2, b1, b2))
-    for _ in range(30):
-        a, c = rand_frac(rng), rand_frac(rng)
-        if rng.random() < 0.3:
-            a = Scalar(a, 1)  # a complex a breaks self-adjointness
-        specs.append(interacting_pseudo(a, rand_scalar(rng), c))
-        am, bm = rng.choice((0, 1, 2)), rand_frac(rng)
-        ap, bp = rng.choice((0, 1)), rand_frac(rng)
-        if (am or bm) and (ap or bp):
-            specs.append(separating_pseudo(am, bm, ap, bp))
-    for _ in range(30):
-        specs.append(PseudoPotential(
-            [rand_scalar(rng) for _ in range(4)],
-            [rand_scalar(rng), rand_scalar(rng), 0, 0],
-            [rand_scalar(rng), rand_scalar(rng), 0, 0],
-        ))
-    for _ in range(80):
-        specs.append(DeltaPrimeFamily(small(), small(), small(), small()))
-    return specs
-
-
 def test_classify_matches_definition_oracle():
     seen = set()
     for spec in oracle_corpus():
         bc = extract_bc(spec)
+        assert extract_bc(bc) is bc
         sa = self_adjoint_by_definition(bc)
         try:
             k = classify(spec)
         except PreconditionError:
             assert sa, spec  # only self-adjoint conditions without a jump form
+            with pytest.raises(PreconditionError):
+                classify(bc)
             seen.add((type(spec).__name__, "no-jump-form"))
             continue
+        assert classify(bc) == k, spec
         seen.add((type(spec).__name__, type(k).__name__))
         if isinstance(k, NotSelfAdjoint):
             assert not sa, spec
@@ -167,6 +135,10 @@ def test_classify_matches_definition_oracle():
         else:
             assert sa, spec
             assert classification_rows(k).row_equivalent(bc), (spec, k)
+            # the rows the classification stands for, and it classifies
+            # as itself
+            assert extract_bc(k).row_equivalent(classification_rows(k)), k
+            assert classify(k) == k
     assert classify(PointPotential(0, 3, -1, -1)) == SeparatingSA(1, 0, 0, 1)
     for kind in ("PointPotential", "PseudoPotential", "DeltaPrimeFamily"):
         for outcome in ("InteractingSA", "SeparatingSA", "NotSelfAdjoint"):
@@ -560,6 +532,7 @@ def test_form_on_classifications_without_potential():
                 v = sesquilinear_form(k, psi, phi)
                 assert v == sesquilinear_form(k, phi, psi).conjugate()
                 assert v == boundary_form_raw(psi, phi)
+                assert v == sesquilinear_form(bc, psi, phi)
 
 
 def test_named_operator_validation():
