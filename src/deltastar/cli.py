@@ -267,7 +267,13 @@ def _cmd_spectrum(args):
                 raise PreconditionError(
                     "--grid needs --strength unless the operator is --delta"
                 )
-            strength = complex(parse_scalar(args.delta)).real
+            delta = parse_scalar(args.delta)
+            # the grid kernel is real: a non-real strength has no grid well
+            if not delta.is_real:
+                raise PreconditionError(
+                    "--grid needs --strength for the non-real --delta %s" % delta
+                )
+            strength = float(delta)
         n = int(N)
         if strength and n >= 3:
             # a kernel narrower than two grid spacings is point-sampled

@@ -739,8 +739,9 @@ def constant(c, n=0):
 
 
 def heaviside(point=0, n=0):
-    """Indicator of (point, +inf)."""
-    return PiecewiseDist(n, [point], [Poly(), Poly([1])])
+    """Indicator of (point, +inf): 0 left of point, 1 right of it."""
+    # as_point refuses None, which indicator reads as an infinite end
+    return indicator(as_point(point), None, 1, n)
 
 
 def delta_dist(point=0, order=0, coeff=1, n=None):
@@ -920,30 +921,17 @@ def derivative(F):
 def restrict(F, interval):
     """Restriction to an open interval (lo, hi); None bounds are infinite.
 
-    Pieces are zeroed outside, finite endpoints become breakpoints, and
-    deltas survive only strictly inside the interval.
+    The restriction is the one-sided product with the interval's indicator
+    on both sides, indicator * F * indicator.  Pieces are multiplied by 1
+    inside the interval and by 0 outside, and star keeps F.n.  In
+    indicator * F a delta of F reads the indicator just left of its point,
+    which is 0 at lo and outside; in (...) * indicator it reads the
+    indicator just right of its point, which is 0 at hi.  So exactly the
+    deltas strictly inside the interval survive.
     """
     lo, hi = interval
-    lo = None if lo is None else as_point(lo)
-    hi = None if hi is None else as_point(hi)
-    if lo is not None and hi is not None and not lo < hi:
-        raise AlgebraError("empty interval (%s, %s)" % (lo, hi))
-
-    def inside(x):
-        return (lo is None or lo < x) and (hi is None or x < hi)
-
-    pts = [] if lo is None else [lo]
-    pts += [p for p in F.breakpoints if inside(p)]
-    if hi is not None:
-        pts.append(hi)
-    pieces = [Poly()] if lo is not None else [F.pieces[0]]
-    for p in pts:
-        if hi is not None and p == hi:
-            pieces.append(Poly())
-        else:
-            pieces.append(F.piece_right_of(p))
-    deltas = [d for d in F.deltas if inside(d.point)]
-    return PiecewiseDist(F.n, pts, pieces, deltas)
+    one = indicator(lo, hi)
+    return star(star(one, F), one)
 
 
 def pair_polynomial_test(F, t, interval=(None, None)):

@@ -177,11 +177,14 @@ def extract_bc(spec):
     """Boundary-condition matrix of an operator.
 
     spec is an operator spec (its constraint_rows), a self-adjoint
-    classification (the two rows it stands for), or a BCMatrix, which is
+    classification (the two rows it stands for), a NotSelfAdjoint
+    classification (the BCMatrix it carries), or a BCMatrix, which is
     returned as it is.
     """
     if isinstance(spec, BCMatrix):
         return spec
+    if isinstance(spec, NotSelfAdjoint):
+        return spec.bc
     if isinstance(spec, (InteractingSA, SeparatingSA)):
         return BCMatrix(_classification_rows(spec))
     return BCMatrix(constraint_rows(spec))

@@ -396,6 +396,28 @@ def test_grid_potential_not_finite_exits_3(capsys):
         assert err == "error: the potential is not finite on the grid\n"
 
 
+_NON_REAL_GRID = """
+import sys
+from deltastar import cli
+rc = cli.main(["spectrum", "--delta=%s", "--grid=0.05,20,4000"])
+print(rc, sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+
+
+def test_grid_non_real_delta_needs_strength(capsys):
+    # the grid took the real part: -2+1i gave the -2 well's grid energy
+    # and 1i the free grid, both with exit 0
+    for delta in ("-2+1i", "1i"):
+        done = fresh("-c", _NON_REAL_GRID % delta)
+        assert done.stdout == "3 []\n"
+        assert done.stderr == ("error: --grid needs --strength for the "
+                               "non-real --delta %s\n" % delta)
+    rc, out, err = run(capsys, "spectrum", "--delta=-2+1i", "--strength=-2",
+                       "--grid=0.05,20,4000")
+    assert rc == 0 and err == ""
+    assert out.splitlines()[1:] == ["grid,0,-0.952076955552759"]
+
+
 def test_grid_size_is_a_whole_number(capsys):
     # 4000.9 ran with N = 4000, nan was int()'s parse error
     for N in ("4000.9", "nan", "2.5", "inf"):

@@ -202,6 +202,34 @@ def test_restrict():
     assert left == indicator(None, 0)
     mid = restrict(F, (-1, 1))
     assert mid == add(indicator(-1, 1), delta_dist(0, 0))
+    # by the definition, on seeded cases: ends on breakpoints and delta
+    # points (-1, 0, 1), between them, outside them, or infinite
+    rng = random.Random(199)
+    ends = [Fraction(x) for x in ("-3", "-1", "-1/2", "0", "1/3", "1", "5/2")]
+    for _ in range(400):
+        F = rand_dist(rng, n=rng.randint(0, 3))
+        lo, hi = sorted(rng.sample(ends, 2))
+        lo, hi = rng.choice(((lo, hi), (None, hi), (lo, None), (None, None)))
+        R = restrict(F, (lo, hi))
+
+        def inside(x):
+            return (lo is None or lo < x) and (hi is None or x < hi)
+
+        assert R.n == F.n
+        assert list(R.deltas) == [d for d in F.deltas if inside(d.point)]
+        finite = [e for e in (lo, hi) if e is not None]
+        cuts = sorted(set(F.breakpoints + R.breakpoints + tuple(finite)))
+        probes = [x + d for x in cuts for d in (Fraction(-1, 7), Fraction(1, 7))]
+        probes += [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] or [Fraction(0)]
+        for x in probes:
+            if x in cuts:
+                continue
+            want = F.piece_right_of(x) if inside(x) else Poly()
+            assert R.piece_right_of(x) == want, (F, lo, hi, x)
+        for a in finite:
+            for empty in ((a, a), (a + 1, a)):
+                with pytest.raises(AlgebraError, match="empty interval"):
+                    restrict(F, empty)
 
 
 def test_pair_polynomial_test_values():

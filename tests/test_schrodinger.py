@@ -132,6 +132,8 @@ def test_classify_matches_definition_oracle():
         if isinstance(k, NotSelfAdjoint):
             assert not sa, spec
             assert k.bc == bc
+            assert extract_bc(k) is k.bc
+            assert classify(k) == k
         else:
             assert sa, spec
             assert classification_rows(k).row_equivalent(bc), (spec, k)
