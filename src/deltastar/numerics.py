@@ -129,7 +129,9 @@ class SmoothingKernel:
 
     side "right" shifts the support to (0, 2*eps); side "left" to
     (-2*eps, 0).  As eps -> 0 pairing against the kernel converges to the
-    corresponding one-sided jet sample.
+    corresponding one-sided jet sample.  eps must be positive and finite,
+    with eps**(1 + order) inside the float range, and order a nonnegative
+    integer; anything else raises PreconditionError.
     """
 
     eps: float
@@ -141,6 +143,8 @@ class SmoothingKernel:
             raise PreconditionError("eps must be positive")
         if self.eps == math.inf:
             raise PreconditionError("eps must be finite")
+        if not isinstance(self.order, int) or self.order < 0:
+            raise PreconditionError("order must be a nonnegative integer")
         try:
             scale = self.eps ** (1 + self.order)
         except OverflowError:

@@ -370,15 +370,20 @@ def interacting_pseudo(a, b, c):
 def represent_interacting(a, b, c):
     """Potentials realizing InteractingSA(a, b, c), or NotRepresentable.
 
-    a and c must be real and the conditions nondegenerate:
-    (1 + conj(b))(1 - b) != a c.  Plain potentials exist exactly when
-    a = 0 and b is neither +-1 nor purely imaginary nonzero.
+    a and c must be real and the conditions must couple the half-lines:
+    (1 + conj(b))(1 - b) != a c.  Equality makes the minors m02 and m13
+    of the rows vanish, so the conditions separate the half-lines; the
+    PreconditionError then names the SeparatingSA that classify gives.
+    Plain potentials exist exactly when a = 0 and b is neither +-1 nor
+    purely imaginary nonzero.
     """
     a, b, c = as_scalar(a), as_scalar(b), as_scalar(c)
     if not (a.is_real and c.is_real):
         raise PreconditionError("a and c must be real")
     if ((_ONE + b.conjugate()) * (_ONE - b) - a * c).is_zero:
-        raise PreconditionError("degenerate conditions: rank below two")
+        raise PreconditionError(
+            "the conditions separate the half-lines: %r"
+            % (classify(InteractingSA(a, b, c)),))
     if not a.is_zero:
         return NotRepresentable(
             "a second-derivative coefficient cannot come from a potential",
@@ -510,29 +515,30 @@ def check_potential_representable_B3_zero(bc):
     """Can rank-2 conditions be realized with no D-sandwich block?
 
     Returns (True, PseudoPotential) with a realizing spec whose
-    dx_after_dx block is zero, or (False, NoGoCertificate).
+    dx_after_dx block is zero, or (False, NoGoCertificate).  Read off the
+    minors of two spanning rows r1, r2: the derivative block is
+    invertible exactly when m23 != 0.  Otherwise r2[2] r1 - r1[2] r2 =
+    (m02, m12, 0, 0) is a row reading only the values, or
+    r2[3] r1 - r1[3] r2 = (m03, m13, 0, 0) when that one is zero; when
+    both are zero, no row reads a derivative.
     """
     if bc.rank != 2:
         raise PreconditionError("needs two independent conditions")
+    _, m02, m03, m12, m13, m23 = minors(bc)
     r1, r2 = bc.reduced()
-    d1 = (r1[2], r1[3])
-    d2 = (r2[2], r2[3])
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    if not det.is_zero:
+    if m23:
+        d1 = (r1[2], r1[3])
+        d2 = (r2[2], r2[3])
+        det = d1[0] * d2[1] - d1[1] * d2[0]
         return False, NoGoCertificate((d1, d2), det)
-    # find a nonzero combination with zero derivative entries
-    if d1[0].is_zero and d1[1].is_zero:
-        v2, v1 = r1, r2
-    elif d2[0].is_zero and d2[1].is_zero:
-        v2, v1 = r2, r1
+    if m02 or m12:
+        values = (m02, m12, _ZERO, _ZERO)
+    elif m03 or m13:
+        values = (m03, m13, _ZERO, _ZERO)
     else:
-        if not d1[0].is_zero or not d2[0].is_zero:
-            lam1, lam2 = d2[0], -d1[0]
-        else:
-            lam1, lam2 = d2[1], -d1[1]
-        v2 = tuple(lam1 * a + lam2 * b for a, b in zip(r1, r2))
-        v1 = r1 if not lam2.is_zero else r2
-    return True, represent_from_bc(v1, v2)
+        return True, represent_from_bc(r1, r2)
+    # a row reading a derivative completes the values-only row to a basis
+    return True, represent_from_bc(r1 if r1[2] or r1[3] else r2, values)
 
 
 # --------------------------------------------------------------------------

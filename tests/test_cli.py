@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,12 @@ import deltastar
 from deltastar import delta_dist
 from deltastar.cli import build_parser, main
 from deltastar.expr_io import decode
-from deltastar.schrodinger import InteractingSA, PseudoPotential, classify
+from deltastar.schrodinger import (
+    InteractingSA,
+    PointPotential,
+    PseudoPotential,
+    classify,
+)
 
 
 def run(capsys, *argv):
@@ -194,9 +200,11 @@ def test_represent_pseudo_only(capsys):
 
 
 def test_represent_degenerate_exits_3(capsys):
+    # (1 + conj b)(1 - b) = a c: the rows separate the half-lines
     rc, out, err = run(capsys, "represent", "--interacting", "0,1,5")
-    assert rc == 3
-    assert "error" in err
+    assert rc == 3 and out == ""
+    assert err == ("error: the conditions separate the half-lines: "
+                   "SeparatingSA(a_minus=0, b_minus=1, a_plus=1, b_plus=5/2)\n")
 
 
 def test_represent_separating_overrides(capsys):
@@ -255,6 +263,18 @@ def test_represent_from_bc_recognizes_jump(capsys):
     # continuity with psi'(0+) - psi'(0-) = 2 psi(0)
     assert any("jump 2" in n for n in payload["notes"])
     assert len(payload["specs"]) == 2
+    # psi(0+) = theta psi(0-), psi'(0+) = psi'(0-)/theta; theta = -1 has
+    # no potential, so it gets no note; and the double Dirichlet form
+    for rows, note, spec in (
+        ("2,-1,0,0;0,0,1,-2", "theta conditions with theta 2",
+         PointPotential(0, 0, Fraction(1, 3), Fraction(1, 3))),
+        ("1,1,0,0;0,0,1,1", None, None),
+        ("1,0,0,0;0,1,0,0", "double Dirichlet point form",
+         PointPotential(1, 1, 1, -1)),
+    ):
+        payload = run_json(capsys, "represent", "--bc", rows)
+        assert payload["notes"] == ([note] if note else [])
+        assert [decode(r) for r in payload["specs"][1:]] == ([spec] if spec else [])
 
 
 def test_represent_bc_rank_check_exits_3(capsys):

@@ -159,6 +159,7 @@ def test_error_positions():
         ("2 +", 3, "delta"),
         ("delta''(0)", 6, "("),
         ("heaviside 0", 10, "("),
+        ("piece(0,1: *)", 11, "x"),
     ]
     for text, pos, expected in cases:
         with pytest.raises(ExprError) as info:
@@ -175,6 +176,9 @@ def test_error_positions():
         ("delta^1/2(0)", None, 6, "unexpected number 1/2"),
         ("piece(0,1/0: x)", None, 8, "zero denominator in '1/0'"),
         ("piece(1,0: 1)", None, 0, "empty interval (1, 0)"),
+        ("piece(inf,1: x)", None, 0, "lower bound cannot be +inf"),
+        ("piece(0,-inf: x)", None, 0, "upper bound cannot be -inf"),
+        ("piece(0,1: *)", None, 11, "unexpected '*'"),
         ("delta^2(0)", 1, 0, "delta order 2 exceeds the regularity cap 1"),
         ("D(delta(0))", 0, 11, "delta order 1 not allowed at regularity index 0"),
     ):
@@ -315,6 +319,18 @@ def test_codec_rejects_malformed_records():
         ("opspec pseudo\ndirect 0 0 0 0\nafter_dx 0 0 1 0\n"
          "dx_after_dx 0 0 0 0\nend\n", 0,
          "after_dx must be order 0 (no delta' coefficients)"),
+        # a line with the wrong number of values, at that line
+        ("dist\nn 1 2\nbreakpoints\npiece 0\nend\n", 5,
+         "'n' takes one nonnegative integer"),
+        ("dist\nn 1\nbreakpoints\npiece 0\ndelta 0 1\nend\n", 29,
+         "'delta' takes point, order, coeff"),
+        ("opspec potential\nc1 1 2\nc2 0\nb1 0\nb2 0\nend\n", 17,
+         "'c1' takes one value"),
+        ("opspec pseudo\ndirect 0 0 0\nafter_dx 0 0 0 0\n"
+         "dx_after_dx 0 0 0 0\nend\n", 14, "'direct' takes four values"),
+        ("bc\nrow 1 0 0\nend\n", 3, "'row' takes four values"),
+        ("bc\nrow 1 0 0 0\n", 0, "missing 'end' line"),
+        ("bogus\nend\n", 0, "unknown record 'bogus'"),
     ):
         with pytest.raises(ExprError) as info:
             decode(bad)

@@ -74,6 +74,15 @@ def test_kernel_validation():
         SmoothingKernel(1e-200, 1)  # eps**2 is zero
     with pytest.raises(PreconditionError, match=r"overflows.*eps\*\*2"):
         SmoothingKernel(1e300, 1)  # eps**2 is out of range
+    # a negative order read the last cached bump derivative, and a
+    # fractional one failed later with a TypeError
+    for order in (-1, 1.5, 1.0, "1", None):
+        with pytest.raises(PreconditionError, match="nonnegative integer"):
+            SmoothingKernel(0.1, order)
+    # which the pairing took as a value with a tiny error estimate
+    F = indicator(-1, None, Poly([1, 1]), n=1)
+    with pytest.raises(PreconditionError, match="nonnegative integer"):
+        mollified_pairing_with_error(F, 1, -1, "right", 0.1)
 
 
 def test_bump_norm_constant_matches_quad():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -294,8 +295,14 @@ def test_interacting_pseudo_fallbacks():
 
 
 def test_interacting_validation():
-    with pytest.raises(PreconditionError):
-        represent_interacting(0, 1, 5)  # degenerate rank
+    # (1 + conj b)(1 - b) = a c: rank 2, but m02 = m13 = 0 separates
+    for abc, sides in (((0, 1, 5), SeparatingSA(0, 1, 1, Fraction(5, 2))),
+                       ((1, 0, 1), SeparatingSA(1, -1, 1, 1)),
+                       ((0, -1, 2), SeparatingSA(1, -1, 0, 1))):
+        assert classify(InteractingSA(*abc)) == sides
+        named = "separate the half-lines: %r" % (sides,)
+        with pytest.raises(PreconditionError, match=re.escape(named)):
+            represent_interacting(*abc)
     with pytest.raises(PreconditionError):
         represent_interacting("1i", 0, 0)  # a must be real
     rng = random.Random(604)
@@ -419,11 +426,18 @@ def test_neumann_neumann_no_go():
 
 
 def test_representable_when_derivative_block_degenerates():
-    dd = BCMatrix([[1, 0, 0, 0], [0, 1, 0, 0]])
-    ok, spec = check_potential_representable_B3_zero(dd)
-    assert ok is True
-    assert all(e.is_zero for e in spec.dx_after_dx)
-    assert extract_bc(spec).row_equivalent(dd)
+    # rows reading no derivative; two rows reading only psi'(0-), whose
+    # values-only row is (m02, m12, 0, 0); two reading only psi'(0+),
+    # (m03, m13, 0, 0); and one row reading a derivative next to one not
+    for rows in ([[1, 0, 0, 0], [0, 1, 0, 0]],
+                 [[1, 0, 1, 0], [0, 1, 1, 0]],
+                 [[1, 0, 0, 1], [0, 1, 0, 1]],
+                 [[1, 0, 1, 0], [0, 1, 0, 0]]):
+        bc = BCMatrix(rows)
+        ok, spec = check_potential_representable_B3_zero(bc)
+        assert ok is True
+        assert all(e.is_zero for e in spec.dx_after_dx)
+        assert extract_bc(spec).row_equivalent(bc)
     with pytest.raises(PreconditionError):
         check_potential_representable_B3_zero(BCMatrix([[1, 0, 0, 0]]))
 

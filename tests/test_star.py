@@ -1,10 +1,16 @@
+import ast
+import inspect
+import operator
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
 
 from deltastar import (
     DegreeCapError,
+    DeltaTerm,
+    PiecewiseDist,
     Poly,
     add,
     delta_dist,
@@ -15,6 +21,8 @@ from deltastar import (
     star,
     star_limit_oracle,
 )
+from deltastar import limit_oracle
+from deltastar.dist_core import delta_times_smooth
 from helpers import rand_dist, rand_scalar
 
 H = heaviside(0, n=1)
@@ -110,3 +118,63 @@ def test_delta_at_shared_breakpoint_uses_one_sided_piece():
     P = star(F, D)
     assert P == scale(2, D)
     assert star_limit_oracle(F, D) == P
+
+
+def test_limit_oracle_takes_only_the_data_types_from_dist_core():
+    # the oracle checks star only while it shares none of star's code
+    own = []
+    for node in ast.walk(ast.parse(inspect.getsource(limit_oracle))):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or node.module.split(".")[0] == "deltastar"
+        ):
+            own.append((node.module, sorted(a.name for a in node.names)))
+        elif isinstance(node, ast.Import):
+            assert not [a for a in node.names if a.name.startswith("deltastar")]
+    assert own == [("dist_core", ["DeltaTerm", "PiecewiseDist", "Scalar"])]
+
+
+def _star_with(F, G, sides=(1, 0), expand=delta_times_smooth, combine=operator.mul):
+    """star as its docstring states it, with each rule replaceable: a delta
+    of F reads G's piece on side sides[0] of its point (1 right, 0 left)
+    and one of G reads F's on side sides[1]; point masses expand against
+    that piece by expand, and pieces combine by combine."""
+    pts = sorted(set(F.breakpoints) | set(G.breakpoints))
+    fs, gs = F.pieces_over(pts), G.pieces_over(pts)
+    deltas = []
+    for ds, other, side in ((F.deltas, gs, sides[0]), (G.deltas, fs, sides[1])):
+        for d in ds:
+            piece = other[bisect_left(pts, d.point) + side]
+            deltas += [DeltaTerm(t.point, t.order, d.coeff * t.coeff)
+                       for t in expand(d.order, d.point, piece)]
+    pieces = [combine(a, b) for a, b in zip(fs, gs)]
+    return PiecewiseDist(max(F.n, G.n), pts, pieces, deltas)
+
+
+def _unsigned(j, x0, f):
+    return [DeltaTerm(t.point, t.order, t.coeff * (-1) ** (j - t.order))
+            for t in delta_times_smooth(j, x0, f)]
+
+
+def _first_term_only(j, x0, f):
+    return delta_times_smooth(j, x0, f)[:1]
+
+
+def test_limit_oracle_catches_faulty_products():
+    rng = random.Random(318)
+    corpus = []
+    for _ in range(120):
+        n = rng.choice((1, 2))
+        corpus.append((rand_dist(rng, n=n), rand_dist(rng, n=n)))
+    for F, G in corpus:
+        P = star(F, G)
+        assert star_limit_oracle(F, G) == P
+        assert _star_with(F, G) == P
+    faulty = {
+        "sides swapped": {"sides": (0, 1)},
+        "expansion sign dropped": {"expand": _unsigned},
+        "k = 0 term only": {"expand": _first_term_only},
+        "pieces added": {"combine": operator.add},
+    }
+    for name, fault in faulty.items():
+        assert any(_star_with(F, G, **fault) != star_limit_oracle(F, G)
+                   for F, G in corpus), name
