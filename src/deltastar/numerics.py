@@ -112,8 +112,18 @@ def _bump_poly(order):
     return _bump_poly_cache[order]
 
 
+def _check_order(order):
+    """The rule for a bump derivative's order, in bump and SmoothingKernel."""
+    if not isinstance(order, int) or order < 0:
+        raise PreconditionError("order must be a nonnegative integer")
+
+
 def bump(x, order=0):
-    """order-th derivative of the unit-mass bump at a float point."""
+    """order-th derivative of the unit-mass bump at a float point; order
+    must be a nonnegative integer, else PreconditionError."""
+    # a plain nonnegative int, as at every grid point, skips the call
+    if order.__class__ is not int or order < 0:
+        _check_order(order)
     t = 1.0 - x * x
     if t < 1e-6:  # exp(-1/t) underflows long before this
         return 0.0
@@ -143,8 +153,7 @@ class SmoothingKernel:
             raise PreconditionError("eps must be positive")
         if self.eps == math.inf:
             raise PreconditionError("eps must be finite")
-        if not isinstance(self.order, int) or self.order < 0:
-            raise PreconditionError("order must be a nonnegative integer")
+        _check_order(self.order)
         try:
             scale = self.eps ** (1 + self.order)
         except OverflowError:

@@ -81,27 +81,51 @@ def _rref(rows):
     return tuple(tuple(row) for row in work if any(row))
 
 
+def _lagrangian(minors):
+    """Kostrykin-Schrader criterion (J. Phys. A 32 (1999) 595), read off
+    the minors: the row space must have rank 2 and equal its own
+    annihilator under the boundary form, i.e. be Lagrangian (Harmer,
+    J. Phys. A 33 (2000) 9193).  That annihilator's Pluecker vector is the
+    Hodge dual of the conjugate, so the test is that some minor is nonzero
+    and (m01, m03, m12, m23, m02, m13) is a multiple of the conjugate of
+    (m01, m03, m12, m23, m13, m02).
+    """
+    m01, m02, m03, m12, m13, m23 = minors
+    lhs = (m01, m03, m12, m23, m02, m13)
+    rhs = (m01, m03, m12, m23, m13, m02)
+    k = next((k for k, m in enumerate(lhs) if m), None)
+    if k is None or not rhs[k]:
+        return False
+    scale = lhs[k] / rhs[k].conjugate()
+    return all(x == scale * y.conjugate() for x, y in zip(lhs, rhs))
+
+
 class BCMatrix:
     """Boundary conditions as rows over (p, q, r, s).
 
     Zero rows are dropped on construction; the originally supplied
     (nonzero) rows are kept for display.  Equality and hashing go through
     the reduced row echelon form, i.e. two matrices are equal when they
-    cut out the same domain.
+    cut out the same domain.  The minors and self-adjointness are
+    computed on construction, the reduced rows at most once.
     """
 
-    __slots__ = ("rows", "_minors")
+    __slots__ = ("rows", "_reduced", "_minors", "self_adjoint")
 
     def __init__(self, rows):
         self.rows = tuple(row for row in map(_row, rows) if any(row))
         # the rows themselves when there are two, else the reduced rows;
         # two zero rows, whose minors all vanish, unless that leaves two
-        pair = self.rows if len(self.rows) == 2 else self.reduced()
+        self._reduced = None if len(self.rows) == 2 else _rref(self.rows)
+        pair = self.rows if len(self.rows) == 2 else self._reduced
         r1, r2 = pair if len(pair) == 2 else ((_ZERO,) * 4,) * 2
         self._minors = tuple(r1[i] * r2[j] - r1[j] * r2[i] for i, j in _PAIRS)
+        self.self_adjoint = _lagrangian(self._minors)
 
     def reduced(self):
-        return _rref(self.rows)
+        if self._reduced is None:
+            self._reduced = _rref(self.rows)
+        return self._reduced
 
     @property
     def rank(self):
@@ -117,25 +141,6 @@ class BCMatrix:
 
     def __hash__(self):
         return hash(self.reduced())
-
-    @property
-    def self_adjoint(self):
-        """Kostrykin-Schrader criterion (J. Phys. A 32 (1999) 595), read
-        off the minors: the row space must have rank 2 and equal its own
-        annihilator under the boundary form, i.e. be Lagrangian (Harmer,
-        J. Phys. A 33 (2000) 9193).  That annihilator's Pluecker vector is
-        the Hodge dual of the conjugate, so the test is that some minor is
-        nonzero and (m01, m03, m12, m23, m02, m13) is a multiple of the
-        conjugate of (m01, m03, m12, m23, m13, m02).
-        """
-        m01, m02, m03, m12, m13, m23 = self._minors
-        lhs = (m01, m03, m12, m23, m02, m13)
-        rhs = (m01, m03, m12, m23, m13, m02)
-        k = next((k for k, m in enumerate(lhs) if m), None)
-        if k is None or not rhs[k]:
-            return False
-        scale = lhs[k] / rhs[k].conjugate()
-        return all(x == scale * y.conjugate() for x, y in zip(lhs, rhs))
 
     def kernel_basis(self):
         """Jets satisfying the conditions, one 4-tuple per free column."""
@@ -179,15 +184,22 @@ def extract_bc(spec):
     spec is an operator spec (its constraint_rows), a self-adjoint
     classification (the two rows it stands for), a NotSelfAdjoint
     classification (the BCMatrix it carries), or a BCMatrix, which is
-    returned as it is.
+    returned as it is.  A spec or classification is frozen, so its matrix
+    is built on the first read and stored on it, outside its dataclass
+    fields: equality, hash, repr and encoding do not see it.
     """
     if isinstance(spec, BCMatrix):
         return spec
     if isinstance(spec, NotSelfAdjoint):
         return spec.bc
-    if isinstance(spec, (InteractingSA, SeparatingSA)):
-        return BCMatrix(_classification_rows(spec))
-    return BCMatrix(constraint_rows(spec))
+    bc = getattr(spec, "_bc", None)
+    if bc is None:
+        if isinstance(spec, (InteractingSA, SeparatingSA)):
+            bc = BCMatrix(_classification_rows(spec))
+        else:
+            bc = BCMatrix(constraint_rows(spec))
+        object.__setattr__(spec, "_bc", bc)
+    return bc
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from deltastar import Poly, Scalar, add, delta_dist, heaviside, indicator
+from deltastar import Poly, Scalar, add, delta_dist, heaviside, indicator, numerics
 from deltastar.boundary_ops import PreconditionError
 from deltastar.numerics import (
     _BUMP_NORM,
@@ -102,6 +102,23 @@ def test_bump_derivatives_match_finite_differences():
 
 def test_bump_vanishes_outside():
     assert bump(1.0) == 0.0 and bump(-1.2) == 0.0 and bump(0.999999) == 0.0
+
+
+def test_bump_order_validation(monkeypatch):
+    # a negative order read the cache's last entry, so its value depended
+    # on which orders had been asked for before; a fractional one failed
+    # with a TypeError from list indexing
+    monkeypatch.setattr(numerics, "_bump_poly_cache", [[1]])
+    fresh = [bump(x, order) for order in (0, 1, 2) for x in (-0.5, 0.3)]
+    bump(0.5, 5)  # grows the cache
+    assert [bump(x, order) for order in (0, 1, 2) for x in (-0.5, 0.3)] == fresh
+    for cache in ([[1]], numerics._bump_poly_cache):
+        monkeypatch.setattr(numerics, "_bump_poly_cache", cache)
+        for order in (-1, -3, 1.5, 1.0, 0.0, "1", None):
+            for x in (0.5, 2.0):
+                with pytest.raises(PreconditionError, match="nonnegative integer"):
+                    bump(x, order)
+    assert bump(0.5, True) == bump(0.5, 1)  # the kernel takes bools too
 
 
 # -- weak one-sided limits -------------------------------------------------------

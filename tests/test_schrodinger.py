@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -5,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltastar import Scalar
-from deltastar.boundary_ops import PreconditionError
+from deltastar import Scalar, schrodinger
+from deltastar.boundary_ops import PreconditionError, PseudoPotential
+from deltastar.expr_io import encode
 from deltastar.schrodinger import (
     BCMatrix,
     ConjugatePairFamily,
@@ -156,7 +158,12 @@ def test_self_adjoint_matches_definition_at_every_rank():
 
     unit = [[int(i == j) for j in range(4)] for i in range(4)]
     r = row()
-    bcs = [extract_bc(spec) for spec in oracle_corpus()]
+    specs = oracle_corpus()
+    bcs = [extract_bc(spec) for spec in specs]
+    # a spec's matrix is stored on it and decides self-adjointness once
+    assert all(extract_bc(spec) is bc for spec, bc in zip(specs, bcs))
+    assert [bc.self_adjoint for bc in bcs] == [
+        BCMatrix(bc.rows).self_adjoint for bc in bcs]
     bcs += [BCMatrix([]), BCMatrix([r]), BCMatrix([r, [2 * e for e in r]]),
             BCMatrix(unit[:3]), BCMatrix(unit), BCMatrix([row() for _ in range(3)]),
             BCMatrix([row() for _ in range(4)])]
@@ -549,6 +556,82 @@ def test_form_on_classifications_without_potential():
                 assert v == sesquilinear_form(k, phi, psi).conjugate()
                 assert v == boundary_form_raw(psi, phi)
                 assert v == sesquilinear_form(bc, psi, phi)
+
+
+def _count_calls(monkeypatch, name):
+    """Calls of the schrodinger module function name, as a list of their
+    arguments."""
+    calls = []
+    real = getattr(schrodinger, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(schrodinger, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("make, builder", [
+    (lambda: PointPotential(1, 2, Fraction(1, 3), Fraction(1, 3)), "constraint_rows"),
+    (lambda: InteractingSA(1, Fraction(1, 2), 3), "_classification_rows"),
+])
+def test_a_spec_builds_its_conditions_once(monkeypatch, make, builder):
+    spec = make()
+    calls = _count_calls(monkeypatch, builder)
+    bc = extract_bc(spec)
+    assert isinstance(classify(spec), InteractingSA)
+    jets = constrained_jets(bc, random.Random(620), 3)
+    for psi in jets:
+        for phi in jets:
+            sesquilinear_form(spec, psi, phi)
+    assert len(calls) == 1
+    assert extract_bc(spec) is bc
+
+
+def test_stored_conditions_change_nothing_visible():
+    # the self-adjointness check still runs on every call
+    spec = PointPotential("1i", 0, 0, 0)
+    psi = phi = jet_from_vector((1, 1, 0, 0))
+    for _ in range(10):
+        with pytest.raises(PreconditionError, match="only defined for self-adjoint"):
+            sesquilinear_form(spec, psi, phi)
+    # a spec that has been read looks like one that has not
+    specs = [
+        lambda: PointPotential(1, 2, Fraction(1, 3), 0),
+        lambda: PseudoPotential((1, 0, 2, "1i"), (0, 1, 0, 0), (3, 0, 0, 0)),
+        lambda: DeltaPrimeFamily(1, 2, 0, Fraction(1, 2)),
+        lambda: InteractingSA(1, Fraction(1, 2), 3),
+        lambda: SeparatingSA(1, 2, 0, 1),
+    ]
+    for make in specs:
+        read, fresh = make(), make()
+        extract_bc(read)
+        classify(read)
+        assert read == fresh and fresh == read
+        assert hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
+        assert encode(read) == encode(fresh)
+        assert dataclasses.replace(read) == fresh
+        assert dataclasses.astuple(read) == dataclasses.astuple(fresh)
+    with pytest.raises(TypeError, match="unknown operator spec 5"):
+        extract_bc(5)
+
+
+def test_bcmatrix_reduces_its_rows_at_most_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "_rref")
+    two = BCMatrix([[1, 0, 2, 0], [0, 1, 0, 3]])
+    assert not calls  # two rows give the minors without reducing
+    three = BCMatrix([[1, 0, 2, 0], [0, 1, 0, 3], [1, 1, 2, 3]])
+    assert len(calls) == 1
+    for _ in range(2):
+        for bc in (two, three):
+            bc.reduced()
+            assert bc.rank == 2
+            bc.kernel_basis()
+            hash(bc)
+            assert bc == three and bc.row_equivalent(two)
+    assert len(calls) == 2
 
 
 def test_named_operator_validation():
