@@ -288,6 +288,13 @@ class Scalar:
     def __complex__(self):
         return complex(self._a / self._d, self._b / self._d)
 
+    def as_integer_ratio(self):
+        """(p, q), q > 0, in lowest terms, of a real scalar, as int, Fraction
+        and float give it; a non-real scalar raises TypeError."""
+        if self._b:
+            raise TypeError("non-real scalar %s has no integer ratio" % self.token())
+        return self._a, self._d
+
     def token(self):
         """Canonical text form: "p/q", "p/qi" or "a+bi" (lowest terms)."""
         a, b, d = self._a, self._b, self._d
@@ -363,6 +370,13 @@ def _ratio_token(n, d):
     except ValueError:
         # past Python's limit on the digits of int text
         raise AlgebraError("exact value too large to print") from None
+
+
+def gaussian_integers(scalars):
+    """[(x, y), ...]: each scalar times the least common denominator L > 0
+    of all of them, x + y i, in integers x and y."""
+    L = math.lcm(*(s._d for s in scalars))
+    return [(s._a * (L // s._d), s._b * (L // s._d)) for s in scalars]
 
 
 def as_scalar(x):

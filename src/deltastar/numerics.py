@@ -6,9 +6,11 @@ Three independent checks live here:
   shifted bump kernel v_eps^(n)(x -+ eps) by tanh-sinh quadrature and
   compare with the exact one-sided jet value;
 * scattering and bound states of a rank-2 boundary condition, read off
-  exact polynomials in kappa whose coefficients are minors of the rows:
-  the determinant D(kappa) of the rows on decaying jets, with its positive
-  roots, and the Cramer numerators, evaluated with D at kappa = -ik;
+  quadratics in kappa whose coefficients are the minors of the rows over
+  their common denominator, as Gaussian integers: the determinant D(kappa)
+  of the rows on decaying jets, with its positive roots, and the Cramer
+  numerators, evaluated with D at kappa = -ik in integers, so that each
+  float of an amplitude is one correctly rounded integer division;
 * a Dirichlet finite-difference Hamiltonian on [-L, L] whose low
   eigenvalues can be compared against the bound-state energies of the
   operator the regularized potential approximates.
@@ -23,11 +25,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .boundary_ops import PreconditionError, SidedDelta, apply_shifting_delta_dist
-from .dist_core import Poly, Scalar, as_poly, pair_polynomial_test
+from .dist_core import Scalar, as_poly, gaussian_integers, pair_polynomial_test
 from .schrodinger import extract_bc, minors
 
 if TYPE_CHECKING:
@@ -265,25 +266,31 @@ class ScatteringData:
     singular: bool = False
 
 
-def _spectral_polys(bc, rank_error):
-    """D and the numerators of r_left, t_left, r_right, t_right, exactly.
+def _spectral_ints(bc, rank_error):
+    """D and the numerators of r_left, t_left, r_right, t_right, in integers.
 
     The jets (1, 0, kappa, 0) and (0, 1, 0, -kappa) decay on the two
     half-lines for Re kappa > 0; the conditions have a solution on them
     where D(kappa) = 0.  Expanded, D and the Cramer numerators of the
     plane-wave amplitudes at kappa = -ik are polynomials of degree <= 2
     whose coefficients are the minors m_ij of the rows
-    (schrodinger.minors).  Below rank 2 every minor is zero.
+    (schrodinger.minors).  Each comes as its three coefficients, of
+    kappa^0, kappa^1 and kappa^2, each a Gaussian integer (x, y) = x + iy:
+    the minors times their least common denominator L > 0, which scales
+    all five by L and so changes neither their ratios nor the roots of D.
+    Below rank 2 every minor is zero.
     """
-    m01, m02, m03, m12, m13, m23 = minors(extract_bc(bc))
-    if not any((m01, m02, m03, m12, m13, m23)):
+    ms = minors(extract_bc(bc))
+    if not any(ms):
         raise PreconditionError(rank_error)
+    (x01, y01), (x02, y02), (x03, y03), (x12, y12), (x13, y13), (x23, y23) = (
+        gaussian_integers(ms))
     return (
-        Poly((m01, -m03 - m12, -m23)),
-        Poly((-m01, m03 - m12, -m23)),
-        Poly((0, 2 * m02)),
-        Poly((-m01, m12 - m03, -m23)),
-        Poly((0, 2 * m13)),
+        ((x01, y01), (-x03 - x12, -y03 - y12), (-x23, -y23)),
+        ((-x01, -y01), (x03 - x12, y03 - y12), (-x23, -y23)),
+        ((0, 0), (2 * x02, 2 * y02), (0, 0)),
+        ((-x01, -y01), (x12 - x03, y12 - y03), (-x23, -y23)),
+        ((0, 0), (2 * x13, 2 * y13), (0, 0)),
     )
 
 
@@ -293,32 +300,52 @@ def scattering(bc, k):
     The decaying jets at kappa = -ik are the outgoing waves, at +ik the
     incoming ones.  Cramer's rule on e^{ikx} + r e^{-ikx} | t e^{ikx}
     (left incidence) and its mirror gives each amplitude as its numerator
-    over D, both evaluated exactly at kappa = -i Fraction(k); singular
-    means D(-ik) = 0.
+    N over D, both evaluated at kappa = -ik.  With k = p/q exactly (as
+    int, float, Fraction, Decimal and a real Scalar give it), q^2 N(-ik)
+    and q^2 D(-ik) are Gaussian integers, and N/D = N conj(D) / |D|^2:
+    each real and imaginary part is one int true division, which Python
+    rounds correctly, so each float is the exact value correctly rounded.
+    singular means D(-ik) = 0.
     """
-    det, *nums = _spectral_polys(
+    det, *nums = _spectral_ints(
         bc, "scattering needs a rank-2 boundary condition")
     if not k > 0:
         raise PreconditionError("wavenumber must be positive")
     if k == math.inf:
         raise PreconditionError("wavenumber must be finite")
-    kappa = Scalar(0, -Fraction(k))
-    det = det.eval(kappa)
-    if not det:
+    # a numbers.Rational without as_integer_ratio (a numpy integer) has
+    # numerator and denominator
+    ratio = getattr(k, "as_integer_ratio", None)
+    p, q = ratio() if ratio else (k.numerator, k.denominator)
+    pp, pq, qq = p * p, p * q, q * q
+
+    def at(c):  # q^2 (c0 + c1 kappa + c2 kappa^2) at kappa = -ip/q: (re, im)
+        (x0, y0), (x1, y1), (x2, y2) = c
+        return x0 * qq + y1 * pq - x2 * pp, y0 * qq - x1 * pq - y2 * pp
+
+    dx, dy = at(det)
+    norm = dx * dx + dy * dy
+    if not norm:
         return ScatteringData(k, singular=True)
-    return ScatteringData(k, *(complex(n.eval(kappa) / det) for n in nums))
+    amps = []
+    for c in nums:
+        x, y = at(c)
+        amps.append(complex((x * dx + y * dy) / norm, (y * dx - x * dy) / norm))
+    return ScatteringData(k, *amps)
 
 
 def bound_states(bc):
     """Negative-energy eigenvalues E = -kappa^2, ascending.
 
-    kappa runs over the positive real roots of D (see _spectral_polys),
+    kappa runs over the positive real roots of D (see _spectral_ints),
     made monic.  With a non-real coefficient the only candidate is the
     root of the imaginary part, checked exactly; otherwise the real
     quadratic is solved by the stable formula.
     """
-    D = _spectral_polys(bc, "bound states need a rank-2 boundary condition")[0]
-    coeffs = list(D.coeffs)
+    det = _spectral_ints(bc, "bound states need a rank-2 boundary condition")[0]
+    coeffs = [Scalar(x, y) for x, y in det]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
     if len(coeffs) < 2:
         return []  # D is zero or a nonzero constant
     lead = coeffs.pop()
@@ -326,7 +353,7 @@ def bound_states(bc):
     if not all(x.is_real for x in c):
         im = [x.im for x in c]
         kappas = [-im[0] / im[1]] if len(c) == 2 and im[1] else []
-        kappas = [x for x in kappas if not D.eval(x)]
+        kappas = [x for x in kappas if not c[0] + c[1] * x + x * x]
     elif len(c) == 1:
         kappas = [-c[0].re]
     else:

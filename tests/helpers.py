@@ -6,7 +6,9 @@ coefficients are exact rationals (optionally with an imaginary
 part) so all comparisons downstream stay exact.  Two helpers are
 references sharing no code with what they check: ``self_adjoint_by_definition``
 for ``classify``, and the float ``even_ground_state`` for the grid
-Hamiltonian.
+Hamiltonian.  ``scattering_by_polys`` and ``bound_states_by_polys`` redo
+``numerics.scattering`` and ``numerics.bound_states`` from the same minors
+in exact ``Poly`` and ``Scalar`` arithmetic, rounding once at the end.
 """
 
 import math
@@ -21,11 +23,15 @@ from deltastar.boundary_ops import (
     BoundaryJet,
     DeltaPrimeFamily,
     PointPotential,
+    PreconditionError,
     PseudoPotential,
 )
+from deltastar.numerics import ScatteringData
 from deltastar.schrodinger import (
     boundary_form_raw,
+    extract_bc,
     interacting_pseudo,
+    minors,
     separating_pseudo,
 )
 
@@ -127,6 +133,62 @@ def self_adjoint_by_definition(bc):
         for u in basis
         for v in basis
     )
+
+
+def spectral_polys(bc, rank_error):
+    """D and the numerators of r_left, t_left, r_right, t_right as exact
+    polynomials in kappa whose coefficients are the minors of the rows
+    (see numerics._spectral_ints)."""
+    m01, m02, m03, m12, m13, m23 = minors(extract_bc(bc))
+    if not any((m01, m02, m03, m12, m13, m23)):
+        raise PreconditionError(rank_error)
+    return (
+        Poly((m01, -m03 - m12, -m23)),
+        Poly((-m01, m03 - m12, -m23)),
+        Poly((0, 2 * m02)),
+        Poly((-m01, m12 - m03, -m23)),
+        Poly((0, 2 * m13)),
+    )
+
+
+def scattering_by_polys(bc, k):
+    """numerics.scattering, with every amplitude the exact Scalar N(kappa)
+    / D(kappa) at kappa = -i Fraction(k), rounded by complex()."""
+    det, *nums = spectral_polys(
+        bc, "scattering needs a rank-2 boundary condition")
+    if not k > 0:
+        raise PreconditionError("wavenumber must be positive")
+    if k == math.inf:
+        raise PreconditionError("wavenumber must be finite")
+    kappa = Scalar(0, -Fraction(k))
+    det = det.eval(kappa)
+    if not det:
+        return ScatteringData(k, singular=True)
+    return ScatteringData(k, *(complex(n.eval(kappa) / det) for n in nums))
+
+
+def bound_states_by_polys(bc):
+    """numerics.bound_states, with D the exact Poly of the minors."""
+    D = spectral_polys(bc, "bound states need a rank-2 boundary condition")[0]
+    coeffs = list(D.coeffs)
+    if len(coeffs) < 2:
+        return []
+    lead = coeffs.pop()
+    c = [x / lead for x in coeffs]
+    if not all(x.is_real for x in c):
+        im = [x.im for x in c]
+        kappas = [-im[0] / im[1]] if len(c) == 2 and im[1] else []
+        kappas = [x for x in kappas if not D.eval(x)]
+    elif len(c) == 1:
+        kappas = [-c[0].re]
+    else:
+        q, p = c[0].re, c[1].re
+        disc = p * p - 4 * q
+        kappas = [-p / 2] if disc == 0 else []
+        if disc > 0:
+            s = -(float(p) + math.copysign(math.sqrt(disc), p)) / 2
+            kappas = [s, float(q) / s]
+    return sorted(float(-x ** 2) for x in kappas if x > 0)
 
 
 def even_ground_state(potential, a):

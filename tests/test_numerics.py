@@ -1,8 +1,11 @@
 import math
 import random
+import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
@@ -28,6 +31,7 @@ from deltastar.numerics import (
 )
 from deltastar.schrodinger import (
     BCMatrix,
+    DeltaPrimeFamily,
     PointPotential,
     classify,
     delta_prime_interaction,
@@ -38,7 +42,13 @@ from deltastar.schrodinger import (
     match_theta_jump,
     represent_from_bc,
 )
-from helpers import oracle_corpus
+from helpers import (
+    bound_states_by_polys,
+    oracle_corpus,
+    rand_frac,
+    rand_scalar,
+    scattering_by_polys,
+)
 
 
 # -- the kernel ----------------------------------------------------------------
@@ -287,7 +297,7 @@ def test_scattering_is_the_s_matrix_of_the_rows():
     # with A the value columns (p, q) and B the outward-derivative columns
     # (-r, s), the rows read A(a + b) + ik B(b - a) = 0 for incoming
     # amplitudes a and outgoing b, so S = -(A + ikB)^-1 (A - ikB): a 2x2
-    # inverse, not the minors _spectral_polys reads
+    # inverse, not the minors _spectral_ints reads
     entries = singular = 0
     for spec in oracle_corpus():
         bc = extract_bc(spec)
@@ -366,6 +376,96 @@ def test_scattering_rejects_non_finite_wavenumber():
     d = scattering(delta_well(-2), 1e308)
     assert not d.singular
     assert abs(d.r_left) ** 2 + abs(d.t_left) ** 2 == 1.0
+
+
+def _seeded_specs(rng, count):
+    """Specs of three kinds and bare matrices of one to three rows, some
+    with four-digit entries, some sparse or of rank below 2."""
+    specs = []
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind == 0:
+            span = rng.choice((3, 1000))
+            specs.append(PointPotential(
+                *(rand_scalar(rng, span, imag_rate=0.2) for _ in range(4))))
+        elif kind == 1:
+            specs.append(DeltaPrimeFamily(*(rand_frac(rng) for _ in range(4))))
+        elif kind == 2:
+            specs.append(delta_well(
+                Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))))
+        else:
+            fill = rng.choice((1, 0.6))
+            specs.append(BCMatrix([
+                [rand_scalar(rng, imag_rate=0.4) if rng.random() < fill else 0
+                 for _ in range(4)]
+                for _ in range(rng.choice((1, 2, 2, 3)))]))
+    return specs
+
+
+def _outcome_or_error(f, *args):
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # the error's type and message must agree too
+        return type(exc), str(exc)
+
+
+def test_scattering_is_bitwise_the_exact_ratio():
+    # every float, signed zero, singular flag and error (an amplitude past
+    # the float range included) equals exact Poly/Scalar arithmetic
+    # rounded once, down to subnormal and up to the largest finite k
+    rng = random.Random(2001)
+    specs = oracle_corpus() + _seeded_specs(rng, 240)
+    ks = [5e-324, 1e-320, 1e-300, 1e-13, 0.1, 1 / 3, 1, 2.5, 1e308,
+          sys.float_info.max, math.nan, 0, -1, math.inf]
+    ks += [10 ** rng.uniform(-300, 300) for _ in range(4)]
+    singular, errors = 0, set()
+    for spec in specs:
+        for k in ks:
+            got = _outcome_or_error(scattering, spec, k)
+            assert got == _outcome_or_error(scattering_by_polys, spec, k), (spec, k)
+            if isinstance(got, str):
+                singular += "singular=True" in got
+            else:
+                errors.add(got)
+    assert singular > 0
+    assert errors == {
+        (PreconditionError, "scattering needs a rank-2 boundary condition"),
+        (PreconditionError, "wavenumber must be positive"),
+        (PreconditionError, "wavenumber must be finite"),
+        (OverflowError, "integer division result too large for a float"),
+    }
+    # the rank is refused before the wavenumber
+    for k in (math.nan, 0, -1, math.inf):
+        with pytest.raises(PreconditionError, match="rank-2"):
+            scattering(BCMatrix([[1, 0, 0, 0]]), k)
+
+
+def _amplitudes(d):
+    return repr((d.r_left, d.t_left, d.r_right, d.t_right, d.singular))
+
+
+def test_scattering_takes_any_exact_real_wavenumber():
+    assert Scalar("-6/4").as_integer_ratio() == (-3, 2)
+    with pytest.raises(TypeError, match="non-real"):
+        Scalar(1, 1).as_integer_ratio()
+    for spec in oracle_corpus():
+        bc = extract_bc(spec)
+        if bc.rank != 2:
+            continue
+        for exact, plain in ((Scalar(1), 1), (Scalar("1/3"), Fraction(1, 3)),
+                             (np.int64(3), 3), (Decimal("0.1"), Fraction(1, 10))):
+            got, want = scattering(bc, exact), scattering(bc, plain)
+            assert got.k == plain
+            assert _amplitudes(got) == _amplitudes(want), spec
+    with pytest.raises(TypeError):
+        scattering(delta_well(-2), Scalar(1, 1))
+
+
+def test_bound_states_match_the_polynomial_reference():
+    specs = oracle_corpus() + _seeded_specs(random.Random(2002), 400)
+    for spec in specs:
+        got = _outcome_or_error(bound_states, spec)
+        assert got == _outcome_or_error(bound_states_by_polys, spec), spec
 
 
 # -- the determinant, property-based ------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltastar import Scalar, schrodinger
+from deltastar import Poly, Scalar, schrodinger
 from deltastar.boundary_ops import PreconditionError, PseudoPotential
 from deltastar.expr_io import encode
 from deltastar.schrodinger import (
@@ -40,7 +40,7 @@ from deltastar.schrodinger import (
     sesquilinear_form,
     unconstrained_spec,
 )
-from deltastar.numerics import _spectral_polys
+from deltastar.numerics import _spectral_ints
 from helpers import (
     jet_from_vector,
     oracle_corpus,
@@ -191,14 +191,14 @@ def spectral_identities(bc):
     and |m02| = |m13|, i.e. |t_left| = |t_right|, checked exactly.
 
     Unitarity is an identity of degree 4 in real k, so five distinct k
-    prove it.
+    prove it.  The quadratics come in Gaussian integers, all five scaled
+    by one common denominator, which both sides share.
     """
-    D, r_left, t_left, r_right, t_right = _spectral_polys(bc, "rank 2")
+    polys = [Poly(Scalar(x, y) for x, y in c)
+             for c in _spectral_ints(bc, "rank 2")]
     unitary = True
     for k in (1, 2, Fraction(1, 3), Fraction(5, 2), 7):
-        d, rl, tl, rr, tr = (
-            _abs2(p.eval(Scalar(0, -k)))
-            for p in (D, r_left, t_left, r_right, t_right))
+        d, rl, tl, rr, tr = (_abs2(p.eval(Scalar(0, -k))) for p in polys)
         unitary = unitary and d == rl + tl and d == rr + tr
     _, m02, _, _, m13, _ = minors(bc)
     return unitary, _abs2(m02) == _abs2(m13)
