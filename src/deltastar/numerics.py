@@ -314,9 +314,9 @@ def scattering(bc, k):
     if k == math.inf:
         raise PreconditionError("wavenumber must be finite")
     # a numbers.Rational without as_integer_ratio (a numpy integer) has
-    # numerator and denominator
+    # numerator and denominator, as fixed-width ints that int() makes exact
     ratio = getattr(k, "as_integer_ratio", None)
-    p, q = ratio() if ratio else (k.numerator, k.denominator)
+    p, q = ratio() if ratio else (int(k.numerator), int(k.denominator))
     pp, pq, qq = p * p, p * q, q * q
 
     def at(c):  # q^2 (c0 + c1 kappa + c2 kappa^2) at kappa = -ip/q: (re, im)

@@ -153,14 +153,17 @@ def spectral_polys(bc, rank_error):
 
 def scattering_by_polys(bc, k):
     """numerics.scattering, with every amplitude the exact Scalar N(kappa)
-    / D(kappa) at kappa = -i Fraction(k), rounded by complex()."""
+    / D(kappa) at kappa = -ik, k as an exact Fraction, rounded by complex()."""
     det, *nums = spectral_polys(
         bc, "scattering needs a rank-2 boundary condition")
     if not k > 0:
         raise PreconditionError("wavenumber must be positive")
     if k == math.inf:
         raise PreconditionError("wavenumber must be finite")
-    kappa = Scalar(0, -Fraction(k))
+    # Fraction keeps a numpy integer's fixed-width numerator; int() makes
+    # it exact
+    k_exact = Fraction(k)
+    kappa = Scalar(0, -Fraction(int(k_exact.numerator), int(k_exact.denominator)))
     det = det.eval(kappa)
     if not det:
         return ScatteringData(k, singular=True)

@@ -418,6 +418,8 @@ def test_scattering_is_bitwise_the_exact_ratio():
     ks = [5e-324, 1e-320, 1e-300, 1e-13, 0.1, 1 / 3, 1, 2.5, 1e308,
           sys.float_info.max, math.nan, 0, -1, math.inf]
     ks += [10 ** rng.uniform(-300, 300) for _ in range(4)]
+    # numpy integers, some whose products pass 2**63
+    ks += [np.int64(3), np.int64(10 ** 10), np.int64(2 ** 63 - 1), np.uint8(200)]
     singular, errors = 0, set()
     for spec in specs:
         for k in ks:
@@ -448,12 +450,14 @@ def test_scattering_takes_any_exact_real_wavenumber():
     assert Scalar("-6/4").as_integer_ratio() == (-3, 2)
     with pytest.raises(TypeError, match="non-real"):
         Scalar(1, 1).as_integer_ratio()
-    for spec in oracle_corpus():
+    for spec in oracle_corpus() + _seeded_specs(random.Random(2003), 40):
         bc = extract_bc(spec)
         if bc.rank != 2:
             continue
         for exact, plain in ((Scalar(1), 1), (Scalar("1/3"), Fraction(1, 3)),
-                             (np.int64(3), 3), (Decimal("0.1"), Fraction(1, 10))):
+                             (np.int64(3), 3), (np.int64(10 ** 10), 10 ** 10),
+                             (np.uint64(2 ** 64 - 1), 2 ** 64 - 1),
+                             (Decimal("0.1"), Fraction(1, 10))):
             got, want = scattering(bc, exact), scattering(bc, plain)
             assert got.k == plain
             assert _amplitudes(got) == _amplitudes(want), spec
