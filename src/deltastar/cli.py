@@ -25,7 +25,7 @@ from .boundary_ops import (
 )
 from .dist_core import AlgebraError, parse_scalar
 from .expr_io import ExprError, encode, format_dist, parse_dist, parse_poly
-from .numerics import bound_states, bump, grid_eigenvalues, \
+from .numerics import GridWell, bound_states, grid_eigenvalues, \
     grid_hamiltonian, mollified_pairing, scattering, weak_limit_value
 from .schrodinger import (
     BCMatrix,
@@ -265,31 +265,14 @@ def _cmd_spectrum(args):
         if strength is None:
             if args.delta is None:
                 raise PreconditionError(
-                    "--grid needs --strength unless the operator is --delta"
-                )
+                    "--grid needs --strength unless the operator is --delta")
             delta = parse_scalar(args.delta)
             # the grid kernel is real: a non-real strength has no grid well
             if not delta.is_real:
                 raise PreconditionError(
-                    "--grid needs --strength for the non-real --delta %s" % delta
-                )
+                    "--grid needs --strength for the non-real --delta %s" % delta)
             strength = float(delta)
-        n = int(N)
-        if strength and n >= 3:
-            # a kernel narrower than two grid spacings is point-sampled
-            # too coarsely: at eps = h the ground state is ~30% off.
-            # Fewer than 3 points are grid_hamiltonian's to reject.
-            h = 2.0 * L / (n + 1)
-            if not eps >= 2.0 * h:
-                raise PreconditionError(
-                    "--grid kernel width eps=%g is below twice the grid "
-                    "spacing h=%g; raise N or eps" % (eps, h)
-                )
-
-        def potential(x):
-            return strength * bump(x / eps) / eps
-
-        ham = grid_hamiltonian(L, n, potential if strength else None)
+        ham = grid_hamiltonian(L, int(N), GridWell(strength, eps) if strength else None)
         levels = 1 if args.levels is None else args.levels
         for i, e in enumerate(grid_eigenvalues(ham, levels)):
             rows.append(["grid", str(i), _fnum(e)])

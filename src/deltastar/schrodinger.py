@@ -37,9 +37,11 @@ from dataclasses import dataclass
 
 from .boundary_ops import (
     DeltaPrimeFamily,
+    JetOperator,
     PointPotential,
     PreconditionError,
     PseudoPotential,
+    _MINUS_FREE_PART,
     _row,
     constraint_rows,
 )
@@ -333,8 +335,7 @@ class ConjugatePairFamily:
         k2 = self.c - k1
         return PointPotential(k1 / self.x1, k2 / self.x2, self.b1, self.b2)
 
-    def default(self):
-        return self.spec()
+    default = spec
 
 
 @dataclass(frozen=True)
@@ -356,8 +357,7 @@ class OppositeSignFamily:
         c1 = total / 2 if c1 is None else as_scalar(c1)
         return PointPotential(c1, total - c1, b1, -b1)
 
-    def default(self):
-        return self.spec()
+    default = spec
 
 
 @dataclass(frozen=True)
@@ -450,8 +450,7 @@ class SeparatingFamily:
             )
         return PointPotential(vals["c1"], vals["c2"], self.b1, self.b2)
 
-    def default(self):
-        return self.spec()
+    default = spec
 
 
 def separating_pseudo(a_minus, b_minus, a_plus, b_plus):
@@ -501,11 +500,10 @@ def represent_from_bc(f1, f2):
     the derivative of f2 against psi, so extract_bc returns rows
     (-f1, f2) — the same row space as [f1; f2].
     """
-    f1, f2 = _row(f1), _row(f2)
-    direct = (f1[0], f1[1], f2[0] - _ONE, f2[1] + _ONE)
-    after_dx = (f1[2] - 2 + f2[0], f1[3] + 2 + f2[1], _ZERO, _ZERO)
-    dx_after_dx = (f2[2], f2[3], _ZERO, _ZERO)
-    return PseudoPotential(direct, after_dx, dx_after_dx)
+    t = JetOperator(f1, f2) - _MINUS_FREE_PART
+    (u0, u1, u2, u3), (v0, v1, v2, v3) = t.row_delta, t.row_delta_prime
+    return PseudoPotential((u0, u1, v0, v1), (u2 + v0, u3 + v1, _ZERO, _ZERO),
+                           (v2, v3, _ZERO, _ZERO))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from deltastar import (
     star_limit_oracle,
 )
 from deltastar.numerics import (
+    GridWell,
     bound_states,
     bump,
     grid_eigenvalues,
@@ -275,7 +276,7 @@ def test_criterion_9b_grid_eigenvalue_match():
     L, strength, bound = 20.0, -2.0, 0.02
 
     def well(eps):
-        return lambda x: strength * bump(x / eps) / eps
+        return GridWell(strength, eps)
 
     def grid_ground_state(eps, N):
         return grid_eigenvalues(grid_hamiltonian(L, N, well(eps)), 1)[0]

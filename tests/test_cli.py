@@ -646,6 +646,11 @@ def test_grid_without_numpy_exits_3():
     done = fresh("-c", _GRID_WITHOUT_NUMPY)
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr == "error: spectrum --grid needs numpy and scipy\n"
+    # the kernel-width rule is read off the well before numpy is imported
+    done = fresh("-c", _GRID_WITHOUT_NUMPY.replace("0.05,20", "0.01,20"))
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == ("error: --grid kernel width eps=0.01 is below "
+                           "twice the grid spacing h=0.0099975; raise N or eps\n")
 
 
 # -- fuzz: every argument vector ends in exit 0, 2 or 3 ---------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import warnings
 from decimal import Decimal
@@ -17,6 +18,7 @@ from deltastar.numerics import (
     _TS_TOL,
     _tanh_sinh,
     GridHamiltonian,
+    GridWell,
     ScatteringData,
     SmoothingKernel,
     bound_states,
@@ -603,6 +605,52 @@ def test_grid_potential_and_validation():
         grid_hamiltonian(-1.0, 100)
     with pytest.raises(PreconditionError):
         grid_eigenvalues(H, 0)
+
+
+def test_grid_well_is_sampled_on_its_support_only():
+    # bump is exactly 0.0 off (-1, 1) and 2/h^2 + (+-0.0) is 2/h^2, so
+    # sampling only the support gives full sampling's diagonal bit for bit:
+    # on the grids of 9(b), its N = 16000 limit, perfbench and cli-mix,
+    # then on 300 seeded wells at least two spacings wide
+    grids = [(-2.0, 0.05, 20.0, 4000), (-2.0, 0.0125, 20.0, 16000),
+             (-2.0, 0.025, 4.0, 3000), (-2.0, 0.05, 12.0, 1500)]
+    rng, log_eps = random.Random(2021), (math.log(1e-3), math.log(2.0))
+    checked = 0
+    while checked < 304:
+        strength, eps, L, N = grids.pop() if grids else (
+            rng.uniform(-5.0, 5.0), math.exp(rng.uniform(*log_eps)),
+            rng.uniform(1.0, 30.0), int(20000 ** rng.random()))
+        well = GridWell(strength, eps)
+        calls = []
+
+        def sampled(x):
+            calls.append(x)
+            return well(x)
+
+        sampled.support = well.support
+        try:
+            diag = grid_hamiltonian(L, N, sampled).diag
+        except PreconditionError:
+            continue  # narrower than two spacings, or N < 3
+        inside, calls = calls, []
+        del sampled.support  # now sampled at every point
+        full = grid_hamiltonian(L, N, sampled).diag
+        assert diag.view(np.int64).tolist() == full.view(np.int64).tolist()
+        assert len(calls) == N and inside == [x for x in calls if -eps <= x < eps]
+        checked += 1
+
+
+def test_grid_refuses_a_well_narrower_than_two_spacings():
+    message = ("--grid kernel width eps=0.01 is below twice the grid "
+               "spacing h=0.0099975; raise N or eps")
+    with pytest.raises(PreconditionError, match="^%s$" % re.escape(message)):
+        grid_hamiltonian(20.0, 4000, GridWell(-2.0, 0.01))
+    grid_hamiltonian(10.0, 399, GridWell(-2.0, 0.1))  # eps = 2h exactly
+    with pytest.raises(PreconditionError, match="below twice"):
+        grid_hamiltonian(10.0, 399, GridWell(-2.0, math.nextafter(0.1, 0)))
+    # a callable without a support reads the whole line: never refused
+    narrow = GridWell(-2.0, 0.01)
+    grid_hamiltonian(20.0, 4000, lambda x: narrow(x))
 
 
 def test_grid_well_tracks_exact_energy():

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltastar import Poly, Scalar, schrodinger
-from deltastar.boundary_ops import PreconditionError, PseudoPotential
+from deltastar.boundary_ops import (
+    PreconditionError,
+    PseudoPotential,
+    constraint_rows,
+)
 from deltastar.expr_io import encode
 from deltastar.schrodinger import (
     BCMatrix,
@@ -318,6 +322,13 @@ def test_interacting_validation():
         fam.spec(k1="1i")
 
 
+def test_default_is_spec_and_not_a_field():
+    # the alias leaves the fields, so the CLI's params and records alone
+    for cls in (ConjugatePairFamily, OppositeSignFamily, SeparatingFamily):
+        assert cls.default is cls.spec
+        assert "default" not in cls.__dataclass_fields__
+
+
 def test_separating_families():
     fam = represent_separating(0, 1, 0, 1)  # double Dirichlet
     assert isinstance(fam, SeparatingFamily) and fam.free == ("c1", "c2")
@@ -458,6 +469,25 @@ def test_represent_from_bc_row_space():
         if target.rank != 2:
             continue
         assert extract_bc(represent_from_bc(f1, f2)).row_equivalent(target)
+
+
+def test_represent_from_bc_gives_the_rows_exactly():
+    # the docstring's promise, entry by entry: constraint rows (-f1, f2)
+    rng = random.Random(611)
+    seen = set()
+    for _ in range(60):
+        f1 = [rand_scalar(rng) for _ in range(4)]
+        f2 = [rand_scalar(rng) for _ in range(4)]
+        rank = rng.randrange(3)
+        if rank < 2:
+            c = rand_scalar(rng)
+            f2 = [c * e for e in f1]
+        if rank < 1:
+            f1 = f2 = [Scalar(0)] * 4
+        seen.add(BCMatrix([f1, f2]).rank)
+        rows = constraint_rows(represent_from_bc(f1, f2))
+        assert rows == (tuple(-e for e in f1), tuple(f2))
+    assert seen == {0, 1, 2}
 
 
 def test_dirichlet_specs_agree():
