@@ -10,7 +10,9 @@ exact and equality is decidable.  Points (breakpoints and delta locations)
 are real Scalars, which order and compare by integer arithmetic; canonical
 form is built from their order alone and never hashes them.
 
-Canonical form, enforced by the constructor:
+Canonical form, built once per result by one builder from typed parts
+(the constructor checks outside input, then calls it; every operation
+here calls it with parts it made itself):
 
   * breakpoints strictly increasing; every delta location is a breakpoint
     (missing ones are inserted, splitting the covering piece);
@@ -115,6 +117,12 @@ def _fraction_text(x):
         f = Fraction(x)
     except ZeroDivisionError:
         return 1, 0
+    except ValueError as exc:
+        # text past the digit limit goes on to _ratio, which names it;
+        # any other text Fraction refuses is not a number
+        if not str(exc).startswith("Invalid literal"):
+            raise
+        raise ValueError("malformed number %r" % x) from None
     return f.numerator, f.denominator
 
 
@@ -595,7 +603,76 @@ class DeltaTerm:
         return "DeltaTerm(%s, %d, %s)" % (self.point, self.order, self.coeff.token())
 
 
+def _delta(point, order, coeff):
+    """DeltaTerm of parts already checked: a real Scalar point, a
+    nonnegative int order and a Scalar coeff."""
+    d = _new(DeltaTerm)
+    d.point = point
+    d.order = order
+    d.coeff = coeff
+    return d
+
+
+def _index(n):
+    """n, checked as a regularity index."""
+    if not isinstance(n, int) or n < 0:
+        raise AlgebraError("regularity index must be a nonnegative integer")
+    return n
+
+
 _place = operator.attrgetter("point", "order")
+
+
+def _build(n, pts, ps, deltas, F=None):
+    """F (a new PiecewiseDist when None) in the canonical form of typed
+    parts: pts strictly increasing real Scalars, ps the len(pts) + 1 Polys
+    on the intervals between them and deltas DeltaTerms in any order.
+    Every distribution not already canonical is built here: the
+    constructor checks outside parts and then calls it, and every
+    operation calls it with parts it made itself."""
+    # one delta per (point, order), in that order: sorting brings the
+    # summands of each place together, and a lone one is kept as given
+    ds = []
+    for (p, o), same in groupby(sorted(deltas, key=_place), key=_place):
+        d, *more = same
+        if more:
+            d = _delta(p, o, sum((e.coeff for e in more), d.coeff))
+        if d.coeff:
+            if o > n:
+                raise RegularityError(
+                    "delta order %d not allowed at regularity index %d" % (o, n)
+                )
+            ds.append(d)
+
+    # one walk over the breakpoints and the delta points in order, with
+    # ps[i] the piece right of the i breakpoints passed: a delta point
+    # splits the piece covering it, and a point stays if it holds a delta
+    # or the pieces on its two sides differ
+    held = [p for p, _ in groupby(d.point for d in ds)]
+    kept, kept_ps = [], [ps[0]]
+    i = j = 0
+    m, h = len(pts), len(held)
+    while i < m or j < h:
+        if j < h and (i == m or not pts[i] < held[j]):
+            p = held[j]
+            j += 1
+            if i < m and pts[i] == p:
+                i += 1
+        else:
+            p = pts[i]
+            i += 1
+            if ps[i] == kept_ps[-1]:
+                continue
+        kept.append(p)
+        kept_ps.append(ps[i])
+
+    if F is None:
+        F = _new(PiecewiseDist)
+    F.n = n
+    F.breakpoints = tuple(kept)
+    F.pieces = tuple(kept_ps)
+    F.deltas = tuple(ds)
+    return F
 
 
 class PiecewiseDist:
@@ -609,8 +686,7 @@ class PiecewiseDist:
     __slots__ = ("n", "breakpoints", "pieces", "deltas")
 
     def __init__(self, n, breakpoints=(), pieces=None, deltas=()):
-        if not isinstance(n, int) or n < 0:
-            raise AlgebraError("regularity index must be a nonnegative integer")
+        _index(n)
         pts = [as_point(p) for p in breakpoints]
         for a, b in zip(pts, pts[1:]):
             if not a < b:
@@ -624,42 +700,8 @@ class PiecewiseDist:
                 "need %d pieces for %d breakpoints, got %d"
                 % (len(pts) + 1, len(pts), len(ps))
             )
-
-        # one delta per (point, order), in that order: sorting brings the
-        # summands of each place together, and a lone one is kept as given
-        ds = []
-        raw = (d if isinstance(d, DeltaTerm) else DeltaTerm(*d) for d in deltas)
-        for (p, o), same in groupby(sorted(raw, key=_place), key=_place):
-            d, *more = same
-            if more:
-                d = DeltaTerm(p, o, sum((e.coeff for e in more), d.coeff))
-            if d.coeff:
-                ds.append(d)
-        for d in ds:
-            if d.order > n:
-                raise RegularityError(
-                    "delta order %d not allowed at regularity index %d"
-                    % (d.order, n)
-                )
-
-        # walk the breakpoints and the delta points in order: a delta point
-        # splits the piece covering it, and a point stays if it holds a
-        # delta or the pieces on its two sides differ
-        held = [p for p, _ in groupby(d.point for d in ds)]
-        kept, kept_ps, j = [], [ps[0]], 0
-        for p, _ in groupby(sorted(pts + held)):
-            right = ps[bisect_right(pts, p)]
-            if j < len(held) and held[j] == p:
-                j += 1
-            elif right == kept_ps[-1]:
-                continue
-            kept.append(p)
-            kept_ps.append(right)
-
-        self.n = n
-        self.breakpoints = tuple(kept)
-        self.pieces = tuple(kept_ps)
-        self.deltas = tuple(ds)
+        ds = [d if isinstance(d, DeltaTerm) else DeltaTerm(*d) for d in deltas]
+        _build(n, pts, ps, ds, self)
 
     # -- canonical content ------------------------------------------------
 
@@ -759,11 +801,8 @@ def heaviside(point=0, n=0):
 
 
 def delta_dist(point=0, order=0, coeff=1, n=None):
-    if n is None:
-        n = order
-    return PiecewiseDist(
-        n, [point], None, [DeltaTerm(point, order, coeff)]
-    )
+    d = DeltaTerm(point, order, coeff)
+    return _build(_index(order if n is None else n), [d.point], [Poly(), Poly()], [d])
 
 
 def indicator(lo, hi, poly=1, n=0):
@@ -779,7 +818,7 @@ def indicator(lo, hi, poly=1, n=0):
         pieces.append(Poly())
     if len(pts) == 2 and not pts[0] < pts[1]:
         raise AlgebraError("empty interval (%s, %s)" % (lo, hi))
-    return PiecewiseDist(n, pts, pieces)
+    return _build(_index(n), pts, pieces, ())
 
 
 # -- linear structure --------------------------------------------------------
@@ -793,10 +832,48 @@ def _joint(F, G):
     return max(F.n, G.n), pts, F.pieces_over(pts), G.pieces_over(pts)
 
 
-def add(F, G):
-    n, pts, fs, gs = _joint(F, G)
-    return PiecewiseDist(
-        n, pts, [a + b for a, b in zip(fs, gs)], F.deltas + G.deltas
+def add(F, *more):
+    """The sum of one or more distributions, built once.
+
+    The breakpoints merge once, and each nonzero piece adds only into the
+    intervals between them that it covers: straight into each of them
+    when it covers at most three, else in at its first interval and out
+    after its last, spread by one running sum.  So a sum of many wide
+    pieces takes time linear in the pieces and the intervals.
+    """
+    terms = (F,) + more
+    # each run is sorted: sorting them together merges them
+    pts = [p for p, _ in groupby(sorted([p for G in terms for p in G.breakpoints]))]
+    m = len(pts)
+    sums = [Poly()] * (m + 1)
+    edges = [Poly()] * (m + 1)
+    spread = False
+    for G in terms:
+        # piece k of G covers the intervals start..stop - 1 over pts
+        start = 0
+        for k, piece in enumerate(G.pieces):
+            if k < len(G.breakpoints):
+                stop = bisect_left(pts, G.breakpoints[k], start) + 1
+            else:
+                stop = m + 1
+            # three additions cost about what the two ends and the
+            # running sum cost a wider piece
+            if piece.coeffs and stop - start <= 3:
+                for slot in range(start, stop):
+                    sums[slot] = sums[slot] + piece
+            elif piece.coeffs:
+                spread = True
+                edges[start] = edges[start] + piece
+                if stop <= m:
+                    edges[stop] = edges[stop] - piece
+            start = stop
+    if spread:
+        run = Poly()
+        for k in range(m + 1):
+            run = run + edges[k]
+            sums[k] = sums[k] + run
+    return _build(
+        max(G.n for G in terms), pts, sums, [d for G in terms for d in G.deltas]
     )
 
 
@@ -815,8 +892,8 @@ def scale(c, F):
     return _canonical(
         F.n,
         F.breakpoints,
-        tuple(p * c for p in F.pieces),
-        tuple(DeltaTerm(d.point, d.order, c * d.coeff) for d in F.deltas),
+        tuple(p * c if p.coeffs else p for p in F.pieces),
+        tuple(_delta(d.point, d.order, c * d.coeff) for d in F.deltas),
     )
 
 
@@ -847,7 +924,7 @@ def delta_times_smooth(j, x0, f):
         if k:
             f = f.deriv()
         c = f.eval(x0) * ((-1) ** k * comb(j, k))
-        out.append(DeltaTerm(x0, j - k, c))
+        out.append(_delta(x0, j - k, c))
     return out
 
 
@@ -905,10 +982,10 @@ def star(F, G):
         for d in ds:
             i = bisect_left(pts, d.point) + right
             deltas += [
-                DeltaTerm(t.point, t.order, d.coeff * t.coeff)
+                _delta(t.point, t.order, d.coeff * t.coeff)
                 for t in delta_times_smooth(d.order, d.point, other[i])
             ]
-    return PiecewiseDist(n, pts, [a * b for a, b in zip(fs, gs)], deltas)
+    return _build(n, pts, [a * b for a, b in zip(fs, gs)], deltas)
 
 
 # -- calculus ----------------------------------------------------------------
@@ -922,14 +999,14 @@ def derivative(F):
     order.  The regularity index grows just enough to hold the new
     highest delta order.
     """
-    deltas = [DeltaTerm(d.point, d.order + 1, d.coeff) for d in F.deltas]
+    deltas = [_delta(d.point, d.order + 1, d.coeff) for d in F.deltas]
     for i, p in enumerate(F.breakpoints):
         jump = F.pieces[i + 1].eval(p) - F.pieces[i].eval(p)
-        deltas.append(DeltaTerm(p, 0, jump))
+        deltas.append(_delta(p, 0, jump))
     n = F.n
     if deltas:
         n = max(n, max(d.order for d in deltas))
-    return PiecewiseDist(n, F.breakpoints, [p.deriv() for p in F.pieces], deltas)
+    return _build(n, F.breakpoints, [p.deriv() for p in F.pieces], deltas)
 
 
 def restrict(F, interval):

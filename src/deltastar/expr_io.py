@@ -26,8 +26,12 @@ coefficients are written as separate real and imaginary terms, e.g.
 "1/2*delta(0) + 3i*delta(0)", which keeps the formatter inside the
 grammar.  "3/4i" means (3/4)i.
 
-One regular-expression scan splits the text into tokens; a number token
-carries its Scalar, so each number is read once.  Syntax errors raise
+One regular-expression scan splits the text into tokens, each match a
+token with the whitespace before it.  A number token carries its Scalar,
+read once: a plain "p", "p/q" or "...i" straight from the match groups,
+and a decimal, a zero denominator or an over-long digit string by Scalar
+from its text, which names what is wrong with it.  A sum of terms is
+built in one add of all of them.  Syntax errors raise
 ExprError carrying the character offset (equal to the byte offset for
 this ASCII grammar) and the set of expected tokens.  Every ValueError of
 the layer below (a malformed number, an AlgebraError of star, derivative,
@@ -60,7 +64,9 @@ from .dist_core import (
     PiecewiseDist,
     Poly,
     Scalar,
+    _norm,
     _ratio_token,
+    add,
     as_point,
     constant,
     degree_cap,
@@ -94,11 +100,18 @@ class ExprError(ValueError):
         super().__init__("%s at offset %d%s" % (message, pos, tail))
 
 
-# every character is whitespace or at worst "bad", so the matches tile the text
+# each match is a token with the whitespace before it; every other
+# character is at worst "bad", so the matches tile the text up to any
+# trailing whitespace.  A number's groups are its digits p, a decimal
+# part, a denominator q and a trailing "i".
 _TOKEN_RE = re.compile(
-    r"\s+|(?P<num>\d+(?:\.\d+)?(?:/\d+)?i?)|(?P<name>[A-Za-z_]+)"
-    r"|(?P<op>[()+\-*^,:'])|(?P<bad>\S)"
+    r"\s*(?:(?P<num>(\d+)(\.\d+)?(?:/(\d+))?(i)?)|(?P<name>[A-Za-z_]+)"
+    r"|(?P<op>[()+\-*^,:'])|(?P<bad>\S))"
 )
+# no limit sys.set_int_max_str_digits() takes is below 640 digits, so
+# int() reads a token this short whatever the limit
+_SHORT = 640
+_I = Scalar(0, 1)
 
 
 def _read(pos, fn, *args):
@@ -114,17 +127,24 @@ def _tokenize(text):
     value of a "num" or "imag" (ending in "i") token is its Scalar."""
     toks = []
     for m in _TOKEN_RE.finditer(text):
-        kind, word, pos = m.lastgroup, m.group(), m.start()
+        kind = m.lastgroup
+        word, pos = m.group(kind), m.start(kind)
         if kind == "num":
-            if word[-1] == "i":
-                toks.append(("imag", _read(pos, Scalar, 0, word[:-1]), pos))
+            p, decimal, q, imag = m.group(2, 3, 4, 5)
+            q = 0 if decimal or len(word) > _SHORT else int(q or 1)
+            if q:
+                p = int(p)
+                value = _norm(0, p, q) if imag else _norm(p, 0, q)
             else:
-                toks.append(("num", _read(pos, Scalar, word), pos))
+                # decimals, over-long digit strings and zero denominators:
+                # Scalar reads the text and says what is wrong with it
+                value = _read(pos, Scalar, 0, word[:-1]) if imag else _read(pos, Scalar, word)
+            toks.append(("imag" if imag else "num", value, pos))
         elif kind == "name":
-            toks.append(("imag", Scalar(0, 1), pos) if word == "i" else ("name", word, pos))
+            toks.append(("imag", _I, pos) if word == "i" else ("name", word, pos))
         elif kind == "op":
             toks.append((word, word, pos))
-        elif kind == "bad":
+        else:
             raise ExprError("unexpected character %r" % word, pos)
     toks.append(("end", None, len(text)))
     return toks
@@ -169,13 +189,7 @@ class _Parser:
             terms.append(self.term(self.sign()))
         if all(type(t) is Scalar for t in terms):
             return sum(terms, Scalar(0))
-        terms = [_dist(t) for t in terms]
-        # add in pairs: each sum then merges parts of similar size, where
-        # a running sum would rebuild the whole of it once per term
-        while len(terms) > 1:
-            pairs = [a + b for a, b in zip(terms[::2], terms[1::2])]
-            terms = pairs + terms[2 * len(pairs):]
-        return terms[0]
+        return add(*map(_dist, terms))
 
     def term(self, sign):
         """sign times a product of atoms.  Its constant factors multiply

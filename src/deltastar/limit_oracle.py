@@ -33,6 +33,7 @@ its base and drops the intervals whose endpoints share a base.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import groupby
 from math import comb
 
 from .dist_core import DeltaTerm, PiecewiseDist, Scalar
@@ -94,12 +95,10 @@ def star_limit_oracle(F, G):
     gpieces = [p.coeffs for p in G.pieces]
     gdeltas = [((d.point, -1), d.order, d.coeff) for d in G.deltas]
 
-    # the eps-offset makes the singular supports disjoint by construction
-    assert not (set(fpts) | set(p for p, _, _ in fdeltas)) & (
-        set(gpts) | set(p for p, _, _ in gdeltas)
-    )
-
-    pts = sorted(set(fpts) | set(gpts))
+    # the eps-offset makes the singular supports disjoint by construction:
+    # no point of F (k = 0) is a point of G (k = -1), so merging the two
+    # sorted runs of distinct points needs no dedupe
+    pts = sorted(fpts + gpts)
     # piece of an operand on the merged interval starting at p: the merged
     # points refine the operand's own, so it is indexed by how many of the
     # operand's points lie at or before p
@@ -113,7 +112,7 @@ def star_limit_oracle(F, G):
         deltas += _expand_point_mass(pt, order, coeff, _piece_containing(fpts, fpieces, pt))
 
     # eps -> 0
-    out_pts = sorted({b for b, _ in pts})
+    out_pts = [b for b, _ in groupby(b for b, _ in pts)]
     out_pieces = []
     for i in range(len(pts) + 1):
         left = pts[i - 1] if i > 0 else None

@@ -9,10 +9,13 @@ for ``classify``, and the float ``even_ground_state`` for the grid
 Hamiltonian.  ``scattering_by_polys`` and ``bound_states_by_polys`` redo
 ``numerics.scattering`` and ``numerics.bound_states`` from the same minors
 in exact ``Poly`` and ``Scalar`` arithmetic, rounding once at the end.
+``reference_tokens`` is the expression tokenizer as one match per token
+or run of whitespace, every number read by ``Scalar`` from its text.
 """
 
 import math
 import random
+import re
 from fractions import Fraction
 
 from scipy.integrate import solve_ivp
@@ -26,6 +29,7 @@ from deltastar.boundary_ops import (
     PreconditionError,
     PseudoPotential,
 )
+from deltastar.expr_io import ExprError
 from deltastar.numerics import ScatteringData
 from deltastar.schrodinger import (
     boundary_form_raw,
@@ -66,6 +70,41 @@ def rand_dist(rng, n=1, points=(-1, 0, 1), max_deg=3, max_order=None,
         if rng.random() < delta_rate
     ]
     return PiecewiseDist(n, [Fraction(p) for p in pts], pieces, deltas)
+
+
+# whitespace is a match of its own, and a number token's text goes to Scalar
+_REFERENCE_TOKEN = re.compile(
+    r"\s+|(?P<num>\d+(?:\.\d+)?(?:/\d+)?i?)|(?P<name>[A-Za-z_]+)"
+    r"|(?P<op>[()+\-*^,:'])|(?P<bad>\S)"
+)
+
+
+def _scalar_at(pos, *args):
+    try:
+        return Scalar(*args)
+    except ValueError as exc:
+        raise ExprError(str(exc), pos) from exc
+
+
+def reference_tokens(text):
+    """The (kind, value, offset) tokens of an expression, then ("end",
+    None, len(text)), or the ExprError of its first bad token."""
+    toks = []
+    for m in _REFERENCE_TOKEN.finditer(text):
+        kind, word, pos = m.lastgroup, m.group(), m.start()
+        if kind == "num":
+            if word[-1] == "i":
+                toks.append(("imag", _scalar_at(pos, 0, word[:-1]), pos))
+            else:
+                toks.append(("num", _scalar_at(pos, word), pos))
+        elif kind == "name":
+            toks.append(("imag", Scalar(0, 1), pos) if word == "i" else ("name", word, pos))
+        elif kind == "op":
+            toks.append((word, word, pos))
+        elif kind == "bad":
+            raise ExprError("unexpected character %r" % word, pos)
+    toks.append(("end", None, len(text)))
+    return toks
 
 
 def rand_jet(rng, span=4):

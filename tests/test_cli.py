@@ -130,6 +130,7 @@ def test_classify_bad_scalar_exits_2(capsys):
         (["classify", "--c1", "1e20000000"], "exponent too large"),
         (["classify", "--c1", "1e-4301"], "exponent too large"),
         (["classify", "--c1", "1e-20000000i"], "exponent too large"),
+        (["classify", "--c1", "1.5/2"], "malformed number '1.5/2'"),
         (["represent", "--interacting=1e20000000,0,0"], "exponent too large"),
         (["spectrum", "--theta="], "empty scalar token"),
         (["spectrum", "--delta="], "empty scalar token"),

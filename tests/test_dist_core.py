@@ -1,4 +1,5 @@
 import bisect
+import functools
 import math
 import operator
 import random
@@ -34,7 +35,8 @@ from deltastar import (
     star,
     zero,
 )
-from deltastar.dist_core import reindex
+from deltastar.dist_core import _build, reindex
+from deltastar.limit_oracle import star_limit_oracle
 from deltastar.expr_io import decode, encode, format_dist, parse_dist
 from helpers import rand_dist, rand_poly, rand_scalar
 
@@ -504,6 +506,10 @@ def test_constructor_gives_the_canonical_form_of_raw_parts(parts, data):
     samples += [marks[0] - 1, marks[-1] + 1] if marks else [0]
     for x in samples:
         assert _piece_at(F.breakpoints, F.pieces, x) == _piece_at(pts, pieces, x)
+    # the builder under the constructor gives the same object from the
+    # typed parts
+    typed = [DeltaTerm(p, o, c) for p, o, c, _ in raw]
+    assert _fields(_build(2, [Scalar(p) for p in pts], pieces, typed)) == _fields(F)
     # the order of the deltas and how a coefficient is split do not matter
     shuffled = data.draw(st.permutations(raw))
     assert PiecewiseDist(2, pts, pieces, _given(shuffled)) == F
@@ -513,6 +519,40 @@ def test_constructor_gives_the_canonical_form_of_raw_parts(parts, data):
         p, o, c, as_tuple = raw[k]
         split = raw[:k] + [(p, o, c - s, as_tuple), (p, o, s, not as_tuple)] + raw[k + 1:]
         assert PiecewiseDist(2, pts, pieces, _given(split)) == F
+
+
+def _fields(F):
+    """Every field of F, with the type of each part."""
+    return (
+        type(F), F.n, F.breakpoints, F.pieces, F.deltas,
+        [type(p) for p in F.breakpoints], [type(p) for p in F.pieces],
+        [(type(d), type(d.point), type(d.coeff)) for d in F.deltas],
+    )
+
+
+_summands = st.lists(st.tuples(st.integers(0, 2 ** 32 - 1), st.booleans()),
+                     min_size=1, max_size=7)
+
+
+@_MODEL
+@given(summands=_summands)
+def test_add_of_many_is_the_fold_of_add(summands):
+    # with some negated copies, so that pieces and deltas cancel
+    Fs = []
+    for seed, negate in summands:
+        F = rand_dist(random.Random(seed), n=seed % 3, points=(-1, 0, 1, 2))
+        Fs.append(F)
+        if negate:
+            Fs.append(scale(-1, F))
+    fold = functools.reduce(add, Fs)
+    assert _fields(add(*Fs)) == _fields(fold)
+    # and a sum of parsed terms is the fold of the terms parsed one by one
+    rng = random.Random(len(Fs))
+    signs = [rng.choice((1, -1)) for _ in Fs]
+    texts = ["(%s)" % format_dist(F) for F in Fs]
+    text = "".join("%s %s " % ("+" if k > 0 else "-", t) for k, t in zip(signs, texts))
+    terms = [parse_dist(t) if k > 0 else scale(-1, parse_dist(t)) for k, t in zip(signs, texts)]
+    assert _fields(parse_dist(text)) == _fields(functools.reduce(add, terms))
 
 
 def test_the_exact_path_hashes_no_scalar(monkeypatch):
@@ -533,6 +573,7 @@ def test_the_exact_path_hashes_no_scalar(monkeypatch):
         F = rand_dist(rng, n=2, max_order=2)
         G = rand_dist(rng, n=1)
         P = star(F, G)
+        assert star_limit_oracle(F, G) == P
         S = add(derivative(P), F)
         for H in (P, S, scale(rand_scalar(rng) or 1, S), reindex(S, 5)):
             text = format_dist(H)

@@ -83,11 +83,14 @@ def test_scalar_text_keeps_the_exponent_sign():
 
 
 def _by_fraction(text):
-    """Fraction's text parser, with a zero denominator a ValueError."""
+    """Fraction's text parser, with its errors in Scalar's words: a zero
+    denominator, and text that is not a number."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % text) from None
+    except ValueError:
+        raise ValueError("malformed number %r" % text) from None
 
 
 @pytest.mark.parametrize("text", [

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import deltastar
 from deltastar import (
@@ -23,6 +24,7 @@ from deltastar import (
 )
 from deltastar.expr_io import (
     ExprError,
+    _tokenize,
     decode,
     encode,
     format_dist,
@@ -30,7 +32,7 @@ from deltastar.expr_io import (
     parse_poly,
 )
 from deltastar import schrodinger as s
-from helpers import rand_dist, rand_scalar
+from helpers import rand_dist, rand_scalar, reference_tokens
 
 
 def test_parse_basic_atoms():
@@ -175,6 +177,8 @@ def test_error_positions():
         ("delta(0i)", None, 6, "unexpected imaginary number"),
         ("delta^1/2(0)", None, 6, "unexpected number 1/2"),
         ("piece(0,1/0: x)", None, 8, "zero denominator in '1/0'"),
+        ("heaviside(1.5/2)", None, 10, "malformed number '1.5/2'"),
+        ("piece(0,1: 1.5/2i)", None, 11, "malformed number '1.5/2'"),
         ("piece(1,0: 1)", None, 0, "empty interval (1, 0)"),
         ("piece(inf,1: x)", None, 0, "lower bound cannot be +inf"),
         ("piece(0,-inf: x)", None, 0, "upper bound cannot be -inf"),
@@ -200,6 +204,42 @@ def test_error_positions():
     # Unicode whitespace separates tokens; Unicode digits are digits
     assert parse_dist("delta(0)\u00a0+\u2003heaviside(1)") == delta_dist(0) + heaviside(1)
     assert parse_dist("delta(٣)") == delta_dist(3)
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return [(kind, type(value), value, pos) for kind, value, pos in tokenize(text)]
+    except ExprError as exc:
+        return str(exc), exc.pos
+
+
+def _assert_tokens_match_the_reference(text):
+    got = _tokens_or_error(_tokenize, text)
+    assert got == _tokens_or_error(reference_tokens, text), text
+    return got
+
+
+def test_tokenizer_matches_the_reference_on_spaced_format_texts():
+    rng = random.Random(2207)
+    for _ in range(150):
+        text = format_dist(rand_dist(rng, n=2, max_order=2))
+        # runs of whitespace at random places, inside tokens too
+        chars = list(text)
+        for _ in range(rng.randint(0, 8)):
+            k = rng.randint(0, len(chars))
+            chars.insert(k, "".join(rng.choice(" \t\n") for _ in range(rng.randint(1, 3))))
+        _assert_tokens_match_the_reference("".join(chars))
+    for text in ("1/0", "0/38.4", "1/2/3", "7" * 5000, "7" * 5000 + "i",
+                 "1/" + "3" * 5000, "0.5i", "٣/٤i", " \t\n", ""):
+        _assert_tokens_match_the_reference(text)
+    assert isinstance(_assert_tokens_match_the_reference("1/0"), tuple)
+    assert _assert_tokens_match_the_reference("0/38.4")[1] == 4
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=st.text(alphabet="0123456789./i+-*()^,:' \t\nxdelthvsipcD@_٣", max_size=30))
+def test_tokenizer_matches_the_reference_on_fuzzed_text(text):
+    _assert_tokens_match_the_reference(text)
 
 
 def test_empty_interval_rejected():
