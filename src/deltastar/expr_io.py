@@ -111,7 +111,7 @@ _TOKEN_RE = re.compile(
 # no limit sys.set_int_max_str_digits() takes is below 640 digits, so
 # int() reads a token this short whatever the limit
 _SHORT = 640
-_I = Scalar(0, 1)
+_IMAGINARY_UNIT = Scalar(0, 1)
 
 
 def _read(pos, fn, *args):
@@ -141,7 +141,7 @@ def _tokenize(text):
                 value = _read(pos, Scalar, 0, word[:-1]) if imag else _read(pos, Scalar, word)
             toks.append(("imag" if imag else "num", value, pos))
         elif kind == "name":
-            toks.append(("imag", _I, pos) if word == "i" else ("name", word, pos))
+            toks.append(("imag", _IMAGINARY_UNIT, pos) if word == "i" else ("name", word, pos))
         elif kind == "op":
             toks.append((word, word, pos))
         else:
