@@ -833,48 +833,22 @@ def _joint(F, G):
 
 
 def add(F, *more):
-    """The sum of one or more distributions, built once.
+    """The sum of one or more distributions.
 
-    The breakpoints merge once, and each nonzero piece adds only into the
-    intervals between them that it covers: straight into each of them
-    when it covers at most three, else in at its first interval and out
-    after its last, spread by one running sum.  So a sum of many wide
-    pieces takes time linear in the pieces and the intervals.
+    Summands add in pairs, and the sums in pairs again: each sum then
+    merges parts of similar size, where a running sum would rebuild the
+    whole of it once per summand.
     """
     terms = (F,) + more
-    # each run is sorted: sorting them together merges them
-    pts = [p for p, _ in groupby(sorted([p for G in terms for p in G.breakpoints]))]
-    m = len(pts)
-    sums = [Poly()] * (m + 1)
-    edges = [Poly()] * (m + 1)
-    spread = False
-    for G in terms:
-        # piece k of G covers the intervals start..stop - 1 over pts
-        start = 0
-        for k, piece in enumerate(G.pieces):
-            if k < len(G.breakpoints):
-                stop = bisect_left(pts, G.breakpoints[k], start) + 1
-            else:
-                stop = m + 1
-            # three additions cost about what the two ends and the
-            # running sum cost a wider piece
-            if piece.coeffs and stop - start <= 3:
-                for slot in range(start, stop):
-                    sums[slot] = sums[slot] + piece
-            elif piece.coeffs:
-                spread = True
-                edges[start] = edges[start] + piece
-                if stop <= m:
-                    edges[stop] = edges[stop] - piece
-            start = stop
-    if spread:
-        run = Poly()
-        for k in range(m + 1):
-            run = run + edges[k]
-            sums[k] = sums[k] + run
-    return _build(
-        max(G.n for G in terms), pts, sums, [d for G in terms for d in G.deltas]
-    )
+    while len(terms) > 1:
+        pairs = tuple(_add_two(a, b) for a, b in zip(terms[::2], terms[1::2]))
+        terms = pairs + terms[2 * len(pairs):]
+    return terms[0]
+
+
+def _add_two(F, G):
+    n, pts, fs, gs = _joint(F, G)
+    return _build(n, pts, [a + b for a, b in zip(fs, gs)], F.deltas + G.deltas)
 
 
 def _canonical(n, breakpoints, pieces, deltas):
@@ -918,6 +892,8 @@ def delta_times_smooth(j, x0, f):
     """
     x0 = as_point(x0)
     f = as_poly(f)
+    if not isinstance(j, int):
+        raise AlgebraError("delta order must be a nonnegative integer")
     out = []
     # derivatives of f above its degree vanish
     for k in range(min(j, f.degree) + 1):

@@ -27,16 +27,14 @@ coefficients are written as separate real and imaginary terms, e.g.
 grammar.  "3/4i" means (3/4)i.
 
 One regular-expression scan splits the text into tokens, each match a
-token with the whitespace before it.  A number token carries its Scalar,
-read once: a plain "p", "p/q" or "...i" straight from the match groups,
-and a decimal, a zero denominator or an over-long digit string by Scalar
-from its text, which names what is wrong with it.  A sum of terms is
-built in one add of all of them.  Syntax errors raise
-ExprError carrying the character offset (equal to the byte offset for
-this ASCII grammar) and the set of expected tokens.  Every ValueError of
-the layer below (a malformed number, an AlgebraError of star, derivative,
-indicator or the regularity cap) goes through one translator, _read,
-into an ExprError at the offset of the construct that raised it.
+token with the whitespace before it; a number token carries its Scalar,
+so each number is read once.  The terms of a sum are added by one add of
+all of them.  Syntax errors raise ExprError carrying the character
+offset (equal to the byte offset for this ASCII grammar) and the set of
+expected tokens.  Every ValueError of the layer below (a malformed
+number, an AlgebraError of star, derivative, indicator or the regularity
+cap) goes through one translator, _read, into an ExprError at the offset
+of the construct that raised it.
 
 The record codec is line-oriented: a header line, one "key value..."
 line per field, and "end", with scalars in the canonical token form of
@@ -64,7 +62,6 @@ from .dist_core import (
     PiecewiseDist,
     Poly,
     Scalar,
-    _norm,
     _ratio_token,
     add,
     as_point,
@@ -102,15 +99,11 @@ class ExprError(ValueError):
 
 # each match is a token with the whitespace before it; every other
 # character is at worst "bad", so the matches tile the text up to any
-# trailing whitespace.  A number's groups are its digits p, a decimal
-# part, a denominator q and a trailing "i".
+# trailing whitespace
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(\d+)(\.\d+)?(?:/(\d+))?(i)?)|(?P<name>[A-Za-z_]+)"
+    r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:/\d+)?i?)|(?P<name>[A-Za-z_]+)"
     r"|(?P<op>[()+\-*^,:'])|(?P<bad>\S))"
 )
-# no limit sys.set_int_max_str_digits() takes is below 640 digits, so
-# int() reads a token this short whatever the limit
-_SHORT = 640
 _IMAGINARY_UNIT = Scalar(0, 1)
 
 
@@ -130,16 +123,10 @@ def _tokenize(text):
         kind = m.lastgroup
         word, pos = m.group(kind), m.start(kind)
         if kind == "num":
-            p, decimal, q, imag = m.group(2, 3, 4, 5)
-            q = 0 if decimal or len(word) > _SHORT else int(q or 1)
-            if q:
-                p = int(p)
-                value = _norm(0, p, q) if imag else _norm(p, 0, q)
+            if word[-1] == "i":
+                toks.append(("imag", _read(pos, Scalar, 0, word[:-1]), pos))
             else:
-                # decimals, over-long digit strings and zero denominators:
-                # Scalar reads the text and says what is wrong with it
-                value = _read(pos, Scalar, 0, word[:-1]) if imag else _read(pos, Scalar, word)
-            toks.append(("imag" if imag else "num", value, pos))
+                toks.append(("num", _read(pos, Scalar, word), pos))
         elif kind == "name":
             toks.append(("imag", _IMAGINARY_UNIT, pos) if word == "i" else ("name", word, pos))
         elif kind == "op":

@@ -6,6 +6,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -155,6 +156,15 @@ def test_delta_times_smooth_vanishing_factor():
     out = delta_times_smooth(1, Fraction(0), Poly([0, 1]))
     live = [(d.order, complex(d.coeff)) for d in out if d.coeff != 0]
     assert live == [(0, -1 + 0j)]
+
+
+def test_delta_times_smooth_takes_only_an_int_order():
+    for j in (numpy.int64(1), Fraction(1), 1.0):
+        with pytest.raises(AlgebraError, match="delta order must be a nonnegative integer"):
+            delta_times_smooth(j, 0, Poly([0, 1]))
+    # a negative order has no terms
+    assert delta_times_smooth(-1, 0, Poly([0, 1])) == []
+    assert [type(d.order) for d in delta_times_smooth(2, 0, Poly([1, 1]))] == [int, int]
 
 
 def test_hormander_product_disjoint():
