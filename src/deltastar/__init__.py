@@ -33,6 +33,17 @@ from .dist_core import (
     star,
     zero,
 )
-from .limit_oracle import star_limit_oracle
 
+# what "from deltastar import *" binds, the lazy name included
+__all__ = [name for name in globals() if not name.startswith("_")] + ["star_limit_oracle"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # star_limit_oracle loads limit_oracle on first use (PEP 562): no CLI
+    # subcommand needs it, and a process compiles every module it imports
+    if name == "star_limit_oracle":
+        from .limit_oracle import star_limit_oracle
+        globals()[name] = star_limit_oracle
+        return star_limit_oracle
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

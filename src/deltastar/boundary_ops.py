@@ -24,7 +24,8 @@ Composition with d/dx is partial: an operator may be *pre*composed
 derivatives are not part of a jet; it may be *post*composed
 (differentiated afterwards) only when it produces no delta' part, since
 delta'' terms are not allowed here.  Both restrictions raise
-PreconditionError.
+PreconditionError, which is defined in dist_core (beside AlgebraError, so
+that catching it loads no operator module) and re-exported here.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 from operator import add, neg
 
 from .dist_core import (
+    PreconditionError,
     Scalar,
     as_point,
     as_scalar,
@@ -40,10 +42,6 @@ from .dist_core import (
     delta_dist,
     star,
 )
-
-
-class PreconditionError(ValueError):
-    """An operation was applied outside its stated domain."""
 
 
 _ZERO = Scalar(0)

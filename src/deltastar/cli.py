@@ -9,42 +9,22 @@ object whose record fields round-trip through expr_io.
 Exit codes: 0 ok, 2 parse error (with input position), 3 precondition
 violation (an exact value beyond the float range counts as one).
 Diagnostics go to stderr.
+
+A process runs one subcommand, so each subcommand imports the operator
+modules it uses where it runs: product loads only dist_core and expr_io,
+classify and represent add boundary_ops and schrodinger, and scatter,
+spectrum and weaklimit add numerics.  Without cached bytecode every
+module a process imports is compiled again.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
-from .boundary_ops import (
-    DeltaPrimeFamily,
-    PointPotential,
-    PreconditionError,
-)
-from .dist_core import AlgebraError, parse_scalar
+from .dist_core import AlgebraError, PreconditionError, parse_scalar
 from .expr_io import ExprError, encode, format_dist, parse_dist, parse_poly
-from .numerics import GridWell, bound_states, grid_eigenvalues, \
-    grid_hamiltonian, mollified_pairing, scattering, weak_limit_value
-from .schrodinger import (
-    BCMatrix,
-    ConjugatePairFamily,
-    NotRepresentable,
-    OppositeSignFamily,
-    SeparatingFamily,
-    check_potential_representable_B3_zero,
-    classify,
-    delta_prime_interaction,
-    delta_well,
-    dirichlet_specs,
-    extract_bc,
-    match_continuity_jump,
-    match_theta_jump,
-    represent_from_bc,
-    represent_interacting,
-    represent_separating,
-)
 
 
 def _scalars(text, count, what):
@@ -94,11 +74,14 @@ def _cmd_product(args):
 def _special_forms(bc):
     """{"jump": a, "theta": theta} for each special form the conditions
     take: continuity with derivative jump a, or theta scaling."""
+    from .schrodinger import match_continuity_jump, match_theta_jump
     forms = {"jump": match_continuity_jump(bc), "theta": match_theta_jump(bc)}
     return {name: v for name, v in forms.items() if v is not None}
 
 
 def _cmd_classify(args):
+    from .boundary_ops import PointPotential
+    from .schrodinger import classify, extract_bc
     spec = PointPotential(
         parse_scalar(args.c1),
         parse_scalar(args.c2),
@@ -138,15 +121,6 @@ def _represent_payload(family, specs, notes, params=None):
     return payload, lines
 
 
-# family type -> (printed name, the overrides its spec() takes); its
-# other fields are printed as params
-_FAMILIES = {
-    OppositeSignFamily: ("opposite-sign", ("b1", "c1")),
-    ConjugatePairFamily: ("conjugate-pair", ("k1",)),
-    SeparatingFamily: ("separating", ("c1", "c2")),
-}
-
-
 def _overrides(args, family, takes=()):
     """The given overrides as scalars, refusing one the family does not
     take; an empty one ("--b1=") is not given."""
@@ -159,6 +133,14 @@ def _overrides(args, family, takes=()):
 
 
 def _cmd_represent(args):
+    from .schrodinger import (
+        ConjugatePairFamily,
+        NotRepresentable,
+        OppositeSignFamily,
+        SeparatingFamily,
+        represent_interacting,
+        represent_separating,
+    )
     if args.bc is not None:
         out = _represent_bc(args.bc)
         _overrides(args, "from-bc")
@@ -172,7 +154,13 @@ def _cmd_represent(args):
     if isinstance(fam, NotRepresentable):
         _overrides(args, "pseudo-only")
         return _represent_payload("pseudo-only", [fam.pseudo], [fam.reason])
-    name, takes = _FAMILIES[type(fam)]
+    # family type -> (printed name, the overrides its spec() takes); its
+    # other fields are printed as params
+    name, takes = {
+        OppositeSignFamily: ("opposite-sign", ("b1", "c1")),
+        ConjugatePairFamily: ("conjugate-pair", ("k1",)),
+        SeparatingFamily: ("separating", ("c1", "c2")),
+    }[type(fam)]
     spec = fam.spec(**_overrides(args, name, takes))
     params = {f: getattr(fam, f) for f in fam.__dataclass_fields__
               if f not in takes}
@@ -182,6 +170,15 @@ def _cmd_represent(args):
 
 
 def _represent_bc(text):
+    from .schrodinger import (
+        BCMatrix,
+        check_potential_representable_B3_zero,
+        delta_prime_interaction,
+        delta_well,
+        dirichlet_specs,
+        extract_bc,
+        represent_from_bc,
+    )
     rows = _bc_rows(text)
     bc = BCMatrix(rows)
     if bc.rank != 2:
@@ -210,6 +207,8 @@ def _represent_bc(text):
 
 
 def _operator_bc(args):
+    from .boundary_ops import DeltaPrimeFamily, PointPotential
+    from .schrodinger import BCMatrix, delta_prime_interaction, delta_well, extract_bc
     # an empty value still selects its flag: "--delta=" is a parse error
     if args.delta is not None:
         return extract_bc(delta_well(parse_scalar(args.delta)))
@@ -229,6 +228,7 @@ def _table(columns, rows):
 
 
 def _cmd_scatter(args):
+    from .numerics import scattering
     bc = _operator_bc(args)
     rows = []
     for k in _floats(args.k, "--k"):
@@ -245,6 +245,7 @@ def _cmd_scatter(args):
 
 
 def _cmd_spectrum(args):
+    from .numerics import GridWell, bound_states, grid_eigenvalues, grid_hamiltonian
     bc = _operator_bc(args)
     energies = bound_states(bc)
     rows = [["bound", str(i), _fnum(e)] for i, e in enumerate(energies)]
@@ -280,6 +281,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_weaklimit(args):
+    from .numerics import mollified_pairing, weak_limit_value
     F = parse_dist(args.dist)
     t = parse_poly(args.test)
     exact = complex(weak_limit_value(F, t, args.order, args.side))
@@ -400,6 +402,7 @@ def main(argv=None):
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
     if args.format == "json":
+        import json
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:

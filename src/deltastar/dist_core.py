@@ -63,6 +63,15 @@ class DivergentIntegralError(AlgebraError):
     """A pairing integral has unbounded support with a nonzero integrand."""
 
 
+class PreconditionError(ValueError):
+    """An operation was applied outside its stated domain.
+
+    Raised by the operator layers (boundary_ops, schrodinger, numerics),
+    which re-export this class; it lives here so that a caller can catch
+    it without importing them.
+    """
+
+
 # --------------------------------------------------------------------------
 # scalars
 

@@ -50,17 +50,12 @@ from __future__ import annotations
 
 import re
 
-from .boundary_ops import (
-    DeltaPrimeFamily,
-    PointPotential,
-    PreconditionError,
-    PseudoPotential,
-)
 from .dist_core import (
     AlgebraError,
     DeltaTerm,
     PiecewiseDist,
     Poly,
+    PreconditionError,
     Scalar,
     _ratio_token,
     add,
@@ -76,12 +71,6 @@ from .dist_core import (
     scale,
     star,
     zero,
-)
-from .schrodinger import (
-    BCMatrix,
-    InteractingSA,
-    NotSelfAdjoint,
-    SeparatingSA,
 )
 
 
@@ -366,8 +355,11 @@ def parse_dist(text, n_cap=None):
     """Parse an expression into a distribution.
 
     n_cap, when given, bounds the allowed delta orders and fixes the
-    regularity index of the result.
+    regularity index of the result; a cap that is not a nonnegative int
+    raises ValueError before the text is read.
     """
+    if n_cap is not None and (not isinstance(n_cap, int) or n_cap < 0):
+        raise ValueError("regularity cap must be a nonnegative integer, got %r" % (n_cap,))
     out = _dist(_parse_all(text, n_cap, _Parser.expr, {"+", "-", "*", "end of input"}))
     if n_cap is not None:
         out = _read(len(text), reindex, out, n_cap)
@@ -448,16 +440,34 @@ def format_dist(F):
 # record codec
 
 
-# record header -> (class, values per line).  One "key value..." line per
-# dataclass field follows, in declaration order, keyed by _line_key.
-_RECORDS = {
-    "opspec potential": (PointPotential, 1),
-    "opspec pseudo": (PseudoPotential, 4),
-    "opspec deltaprime": (DeltaPrimeFamily, 1),
-    "classification interacting": (InteractingSA, 1),
-    "classification separating": (SeparatingSA, 1),
-}
-_HEADERS = {cls: (head, width) for head, (cls, width) in _RECORDS.items()}
+# record header -> (class, values per line), and its inverse.  One "key
+# value..." line per dataclass field follows, in declaration order, keyed
+# by _line_key; 0 values per line marks the "row" lines of a
+# boundary-condition matrix.  The classes live in boundary_ops and
+# schrodinger, which a dist record does not need, so _records() fills
+# both tables on the first record of another kind.
+_RECORDS = {}
+_HEADERS = {}
+
+
+def _records():
+    """The filled header -> (class, values per line) table."""
+    if not _RECORDS:
+        from .boundary_ops import DeltaPrimeFamily, PointPotential, PseudoPotential
+        from .schrodinger import BCMatrix, InteractingSA, NotSelfAdjoint, SeparatingSA
+        records = {
+            "opspec potential": (PointPotential, 1),
+            "opspec pseudo": (PseudoPotential, 4),
+            "opspec deltaprime": (DeltaPrimeFamily, 1),
+            "classification interacting": (InteractingSA, 1),
+            "classification separating": (SeparatingSA, 1),
+            "classification not-self-adjoint": (NotSelfAdjoint, 0),
+            "bc": (BCMatrix, 0),
+        }
+        # the inverse first: a filled _RECORDS means both are filled
+        _HEADERS.update((cls, (head, width)) for head, (cls, width) in records.items())
+        _RECORDS.update(records)
+    return _RECORDS
 
 
 def _line_key(name):
@@ -477,22 +487,20 @@ def encode(obj):
             lines.append(("piece " + " ".join(map(Scalar.token, p.coeffs))).rstrip())
         for d in obj.deltas:
             lines.append("delta %s %d %s" % (d.point.token(), d.order, d.coeff.token()))
-    elif type(obj) in _HEADERS:
+    else:
+        _records()
+        if type(obj) not in _HEADERS:
+            raise TypeError("cannot encode %r" % (obj,))
         head, width = _HEADERS[type(obj)]
         lines.append(head)
-        for name in obj.__dataclass_fields__:
-            value = getattr(obj, name)
-            text = value.token() if width == 1 else " ".join(map(Scalar.token, value))
-            lines.append("%s %s" % (_line_key(name), text))
-    elif isinstance(obj, (NotSelfAdjoint, BCMatrix)):
-        if isinstance(obj, NotSelfAdjoint):
-            lines.append("classification not-self-adjoint")
-            obj = obj.bc
+        if width == 0:
+            bc = obj if head == "bc" else obj.bc
+            lines += ["row " + " ".join(map(Scalar.token, row)) for row in bc.rows]
         else:
-            lines.append("bc")
-        lines += ["row " + " ".join(map(Scalar.token, row)) for row in obj.rows]
-    else:
-        raise TypeError("cannot encode %r" % (obj,))
+            for name in obj.__dataclass_fields__:
+                value = getattr(obj, name)
+                text = value.token() if width == 1 else " ".join(map(Scalar.token, value))
+                lines.append("%s %s" % (_line_key(name), text))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -546,11 +554,8 @@ def decode(text):
     try:
         if head == "dist":
             return _decode_dist(rec)
-        if head == "bc":
-            return BCMatrix(_decode_rows(rec))
-        if head == "classification" and kind == "not-self-adjoint":
-            return NotSelfAdjoint(BCMatrix(_decode_rows(rec)))
-        record = _RECORDS.get(head + " " + kind)
+        # "bc" is the one header without a kind
+        record = _records().get(head if head == "bc" else head + " " + kind)
         if record is not None:
             return _decode_fields(rec, *record)
     except (AlgebraError, PreconditionError) as exc:
@@ -592,6 +597,9 @@ def _decode_dist(rec):
 
 
 def _decode_fields(rec, cls, width):
+    if width == 0:
+        bc = _RECORDS["bc"][0](_decode_rows(rec))
+        return bc if cls is type(bc) else cls(bc)
     values = []
     for name in cls.__dataclass_fields__:
         key = _line_key(name)

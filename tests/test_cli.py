@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import deltastar
-from deltastar import delta_dist
+from deltastar import boundary_ops, delta_dist, dist_core, limit_oracle, numerics, schrodinger
 from deltastar.cli import build_parser, main
-from deltastar.expr_io import decode
+from deltastar.expr_io import decode, parse_dist
 from deltastar.schrodinger import (
     InteractingSA,
     PointPotential,
@@ -80,6 +80,21 @@ def test_product_parse_error_exits_2(capsys):
 def test_product_regularity_cap_exits_2(capsys):
     rc, out, err = run(capsys, "product", "delta^2(0)", "--n-cap", "1")
     assert rc == 2
+
+
+def test_negative_cap_is_refused_naming_the_cap(capsys):
+    # the cap was blamed on the text: "regularity index must be a
+    # nonnegative integer at offset 12", "delta order 0 exceeds the
+    # regularity cap -1 at offset 0"
+    for expr in ("piece(0,1:x)", "delta(0)"):
+        rc, out, err = run(capsys, "product", expr, "--n-cap=-1")
+        assert rc == 2 and out == ""
+        assert err == ("parse error: regularity cap must be a nonnegative "
+                       "integer, got -1\n")
+    for cap in (-1, 1.5, "1"):
+        with pytest.raises(ValueError, match="^regularity cap must be a "
+                           "nonnegative integer, got %r$" % (cap,)):
+            parse_dist("delta(0)", n_cap=cap)
 
 
 def test_product_hostile_inputs_exit_2(capsys):
@@ -162,19 +177,37 @@ def test_huge_exponent_exits_2_fast():
         "parse error: exponent too large in '1e20000000'\n")
 
 
-def test_long_sum_parses_fast():
+def test_long_sum_parses_fast(monkeypatch):
     # a fresh process, killed at the bound: a running sum re-merged every
     # breakpoint once per term, cubic in the number of terms
     ks = range(2000)
     hi = [str(k + 1) for k in ks[:-1]] + ["inf"]
-    for term, want in (
-        ("delta(%d)", ["delta(%d)" % k for k in ks]),
-        ("3*heaviside(%d)", ["piece(%d,%s: %d)" % (k, hi[k], 3 * k + 3) for k in ks]),
-        ("piece(%d,inf: x)", ["piece(%d,%s: %d*x)" % (k, hi[k], k + 1) for k in ks]),
-    ):
+    terms = {
+        "delta(%d)": ["delta(%d)" % k for k in ks],
+        "3*heaviside(%d)": ["piece(%d,%s: %d)" % (k, hi[k], 3 * k + 3) for k in ks],
+        "piece(%d,inf: x)": ["piece(%d,%s: %d*x)" % (k, hi[k], k + 1) for k in ks],
+    }
+    for term, want in terms.items():
         done = fresh("-m", "deltastar", "product", "+".join(term % k for k in ks))
         assert done.returncode == 0, done.stderr
         assert done.stdout == " + ".join(want).replace(" 1*x", " x") + "\n"
+    # the same sums without a clock: the parts handed to the canonical
+    # builder grow as N log N (a ratio of ~4.7 from 1 000 to 4 000 terms);
+    # a running sum would hand it ~N^2 / 2 (a ratio of ~16)
+    build, parts = dist_core._build, [0]
+
+    def counting(n, pts, ps, deltas, F=None):
+        parts[0] += len(pts) + len(ps) + len(deltas)
+        return build(n, pts, ps, deltas, F)
+
+    monkeypatch.setattr(dist_core, "_build", counting)
+    for term in terms:
+        counts = []
+        for size in (1000, 4000):
+            parts[0] = 0
+            parse_dist("+".join(term % k for k in range(size)))
+            counts.append(parts[0])
+        assert counts[1] <= 6 * counts[0], (term, counts)
 
 
 def test_represent_interacting_round_trip(capsys):
@@ -609,30 +642,61 @@ def test_weaklimit_eps_out_of_range_exits_3(capsys):
         assert "Traceback" not in err
 
 
-_EXACT_COMMANDS = """
+_ONE_COMMAND = """
 import sys
 from deltastar import cli
-for argv in (
-    ["product", "delta(0)*heaviside(0)"],
-    ["classify", "--c1", "-1", "--c2", "-1"],
-    ["represent", "--interacting", "0,1/2,-3/2"],
-    ["scatter", "--delta", "-2", "--k", "1,2"],
-    ["spectrum", "--delta", "-2"],
-    ["weaklimit", "--dist", "piece(0,inf: 1+x)", "--test", "1-x"],
-):
-    assert cli.main(argv) == 0, argv
-print("loaded", sorted(
-    m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
-assert cli.main(["spectrum", "--delta", "-2", "--grid", "0.05,20,4000"]) == 0
+rc = cli.main(%r)
+print("loaded", rc, sorted(
+    m for m in sys.modules if m.split(".")[0] in ("deltastar", "numpy", "scipy")))
 """
+
+_PRODUCT_MODULES = ["deltastar", "deltastar.cli", "deltastar.dist_core", "deltastar.expr_io"]
+_OPERATOR_MODULES = sorted(_PRODUCT_MODULES + ["deltastar.boundary_ops", "deltastar.schrodinger"])
+_NUMERIC_MODULES = sorted(_OPERATOR_MODULES + ["deltastar.numerics"])
 
 
 def test_only_the_grid_imports_numpy_and_scipy():
-    done = fresh("-c", _EXACT_COMMANDS, timeout=60)
+    # one fresh process per command: no numpy or scipy, and of the program
+    # only the modules that the subcommand runs (each is compiled anew
+    # where bytecode is not cached)
+    for argv, rc, modules in (
+        (["product", "delta(0)*heaviside(0)"], 0, _PRODUCT_MODULES),
+        (["product", "delta(0) @ heaviside(1)"], 2, _PRODUCT_MODULES),
+        (["classify", "--c1", "-1", "--c2", "-1"], 0, _OPERATOR_MODULES),
+        (["represent", "--interacting", "0,1/2,-3/2"], 0, _OPERATOR_MODULES),
+        (["represent", "--bc", "2,-1,0,0;0,0,1,-2"], 0, _OPERATOR_MODULES),
+        (["scatter", "--delta", "-2", "--k", "1,2"], 0, _NUMERIC_MODULES),
+        (["spectrum", "--delta", "-2"], 0, _NUMERIC_MODULES),
+        (["weaklimit", "--dist", "piece(0,inf: 1+x)", "--test", "1-x"], 0, _NUMERIC_MODULES),
+    ):
+        done = fresh("-c", _ONE_COMMAND % (argv,))
+        assert done.stdout.splitlines()[-1] == "loaded %d %r" % (rc, modules), argv
+    done = fresh("-c", _ONE_COMMAND % (["spectrum", "--delta", "-2", "--grid", "0.05,20,4000"],),
+                 timeout=60)
     assert done.returncode == 0 and done.stderr == "", done.stderr
-    lines = done.stdout.splitlines()
-    assert "loaded []" in lines  # after the six commands
-    assert lines[-1] == "grid,0,-0.952076955552759"
+    assert done.stdout.splitlines()[-2] == "grid,0,-0.952076955552759"
+
+
+def test_lazy_imports_keep_every_public_path(capsys, monkeypatch):
+    from deltastar import star_limit_oracle
+    assert star_limit_oracle is deltastar.star_limit_oracle is limit_oracle.star_limit_oracle
+    names = {}
+    exec("from deltastar import *", names)
+    assert names["star_limit_oracle"] is star_limit_oracle
+    # one PreconditionError, defined in dist_core: main maps it to exit 3
+    # without importing the modules that raise it
+    for module in (boundary_ops, schrodinger, numerics):
+        assert module.PreconditionError is dist_core.PreconditionError
+    rc, out, err = run(capsys, "scatter", "--delta=-2", "--k=inf")  # numerics
+    assert rc == 3 and out == "" and err == "error: wavenumber must be finite\n"
+
+    def off_origin(spec):
+        sd = boundary_ops.SidedDelta("right", 0, 1)
+        return boundary_ops.apply_shifting_delta(sd, boundary_ops.BoundaryJet(1, 1, 0, 0))
+
+    monkeypatch.setattr(schrodinger, "extract_bc", off_origin)  # boundary_ops
+    rc, out, err = run(capsys, "classify", "--c1=1")
+    assert rc == 3 and out == "" and err == "error: jets carry data at the origin only\n"
 
 
 _GRID_WITHOUT_NUMPY = """

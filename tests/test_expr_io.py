@@ -319,6 +319,51 @@ def test_codec_classification_round_trips():
         assert encode(back) == text
 
 
+# one record of every kind: dist, each opspec, each classification, bc
+_EVERY_RECORD = """
+from deltastar import delta_dist, heaviside
+from deltastar.schrodinger import (BCMatrix, DeltaPrimeFamily, InteractingSA,
+    NotSelfAdjoint, PointPotential, SeparatingSA, represent_from_bc)
+rows = BCMatrix([[0, 0, 1, 0], [0, 0, 0, 1]])
+items = [heaviside(0) + delta_dist(1, 1, "2i"), PointPotential(1, "1/2", 0, "2i"),
+         represent_from_bc([0, 0, 1, 0], [0, 0, 0, 1]), DeltaPrimeFamily(1, 1, 3, 3),
+         InteractingSA(1, "1i", "1/2"), SeparatingSA(1, 2, 3, 4),
+         NotSelfAdjoint(rows), rows]
+"""
+
+
+def test_codec_round_trips_where_expr_io_is_the_first_import():
+    # expr_io loads the operator modules for the first record that is not
+    # a dist, whether encode or decode meets it first
+    ns = {}
+    exec(_EVERY_RECORD, ns)
+    texts = [encode(x) for x in ns["items"]]
+    decode_first = (
+        "import sys\n"
+        "from deltastar.expr_io import decode, encode\n"
+        "print(sorted(m for m in sys.modules if m.startswith('deltastar')))\n"
+        "got = [decode(t) for t in %r]\n" % (texts,)
+        + _EVERY_RECORD
+        + "assert got == items\n"
+        "assert [encode(x) for x in items] == %r\n" % (texts,)
+    )
+    encode_first = (
+        "from deltastar.expr_io import decode, encode\n"
+        + _EVERY_RECORD
+        + "for x in reversed(items):\n"
+        "    assert decode(encode(x)) == x, x\n"
+    )
+    src = os.path.dirname(os.path.dirname(deltastar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for code, out in ((decode_first, "['deltastar', 'deltastar.dist_core', "
+                                     "'deltastar.expr_io']\n"),
+                      (encode_first, "")):
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        assert done.stdout == out
+
+
 def test_codec_rejects_malformed_records():
     for bad in (
         "dist\nn 1\nend\n",          # missing breakpoints line
