@@ -597,7 +597,7 @@ def _decode_dist(rec):
 
 
 def _decode_fields(rec, cls, width):
-    if width == 0:
+    if width == 0:  # a BCMatrix, or the one a NotSelfAdjoint carries
         bc = _RECORDS["bc"][0](_decode_rows(rec))
         return bc if cls is type(bc) else cls(bc)
     values = []
