@@ -34,16 +34,23 @@ from .dist_core import (
     zero,
 )
 
-# what "from deltastar import *" binds, the lazy name included
-__all__ = [name for name in globals() if not name.startswith("_")] + ["star_limit_oracle"]
+# what "from deltastar import *" binds, as before limit_oracle was lazy
+__all__ = [name for name in globals() if not name.startswith("_")] + [
+    "limit_oracle", "star_limit_oracle"]
 __version__ = "0.1.0"
+
+# submodules that "import deltastar" (limit_oracle) or "import deltastar.cli"
+# (the rest) used to bind as attributes; they now load on first use
+_SUBMODULES = ("boundary_ops", "limit_oracle", "numerics", "schrodinger")
 
 
 def __getattr__(name):
-    # star_limit_oracle loads limit_oracle on first use (PEP 562): no CLI
-    # subcommand needs it, and a process compiles every module it imports
+    # limit_oracle and the operator modules load on first use (PEP 562): a
+    # process compiles every module it imports, and product needs none of them
+    if name in _SUBMODULES:
+        import importlib
+        return importlib.import_module("." + name, __name__)
     if name == "star_limit_oracle":
-        from .limit_oracle import star_limit_oracle
-        globals()[name] = star_limit_oracle
-        return star_limit_oracle
+        globals()[name] = __getattr__("limit_oracle").star_limit_oracle
+        return globals()[name]
     raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -442,16 +442,18 @@ def format_dist(F):
 
 # record header -> (class, values per line), and its inverse.  One "key
 # value..." line per dataclass field follows, in declaration order, keyed
-# by _line_key; 0 values per line marks the "row" lines of a
-# boundary-condition matrix.  The classes live in boundary_ops and
-# schrodinger, which a dist record does not need, so _records() fills
-# both tables on the first record of another kind.
+# by _line_key.  The classes live in boundary_ops and schrodinger, which a
+# dist record does not need, so _records() fills both tables, and binds
+# the two classes of the "row" records, on the first record of another
+# kind.
 _RECORDS = {}
 _HEADERS = {}
+BCMatrix = NotSelfAdjoint = None
 
 
 def _records():
     """The filled header -> (class, values per line) table."""
+    global BCMatrix, NotSelfAdjoint
     if not _RECORDS:
         from .boundary_ops import DeltaPrimeFamily, PointPotential, PseudoPotential
         from .schrodinger import BCMatrix, InteractingSA, NotSelfAdjoint, SeparatingSA
@@ -461,8 +463,6 @@ def _records():
             "opspec deltaprime": (DeltaPrimeFamily, 1),
             "classification interacting": (InteractingSA, 1),
             "classification separating": (SeparatingSA, 1),
-            "classification not-self-adjoint": (NotSelfAdjoint, 0),
-            "bc": (BCMatrix, 0),
         }
         # the inverse first: a filled _RECORDS means both are filled
         _HEADERS.update((cls, (head, width)) for head, (cls, width) in records.items())
@@ -488,19 +488,23 @@ def encode(obj):
         for d in obj.deltas:
             lines.append("delta %s %d %s" % (d.point.token(), d.order, d.coeff.token()))
     else:
-        _records()
-        if type(obj) not in _HEADERS:
-            raise TypeError("cannot encode %r" % (obj,))
-        head, width = _HEADERS[type(obj)]
-        lines.append(head)
-        if width == 0:
-            bc = obj if head == "bc" else obj.bc
-            lines += ["row " + " ".join(map(Scalar.token, row)) for row in bc.rows]
-        else:
+        _records()  # fills _HEADERS and binds NotSelfAdjoint and BCMatrix
+        if type(obj) in _HEADERS:
+            head, width = _HEADERS[type(obj)]
+            lines.append(head)
             for name in obj.__dataclass_fields__:
                 value = getattr(obj, name)
                 text = value.token() if width == 1 else " ".join(map(Scalar.token, value))
                 lines.append("%s %s" % (_line_key(name), text))
+        elif isinstance(obj, (NotSelfAdjoint, BCMatrix)):
+            if isinstance(obj, NotSelfAdjoint):
+                lines.append("classification not-self-adjoint")
+                obj = obj.bc
+            else:
+                lines.append("bc")
+            lines += ["row " + " ".join(map(Scalar.token, row)) for row in obj.rows]
+        else:
+            raise TypeError("cannot encode %r" % (obj,))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -554,8 +558,11 @@ def decode(text):
     try:
         if head == "dist":
             return _decode_dist(rec)
-        # "bc" is the one header without a kind
-        record = _records().get(head if head == "bc" else head + " " + kind)
+        record = _records().get(head + " " + kind)  # binds the two below
+        if head == "bc":
+            return BCMatrix(_decode_rows(rec))
+        if head == "classification" and kind == "not-self-adjoint":
+            return NotSelfAdjoint(BCMatrix(_decode_rows(rec)))
         if record is not None:
             return _decode_fields(rec, *record)
     except (AlgebraError, PreconditionError) as exc:
@@ -597,9 +604,6 @@ def _decode_dist(rec):
 
 
 def _decode_fields(rec, cls, width):
-    if width == 0:  # a BCMatrix, or the one a NotSelfAdjoint carries
-        bc = _RECORDS["bc"][0](_decode_rows(rec))
-        return bc if cls is type(bc) else cls(bc)
     values = []
     for name in cls.__dataclass_fields__:
         key = _line_key(name)

@@ -658,18 +658,22 @@ _NUMERIC_MODULES = sorted(_OPERATOR_MODULES + ["deltastar.numerics"])
 def test_only_the_grid_imports_numpy_and_scipy():
     # one fresh process per command: no numpy or scipy, and of the program
     # only the modules that the subcommand runs (each is compiled anew
-    # where bytecode is not cached)
-    for argv, rc, modules in (
-        (["product", "delta(0)*heaviside(0)"], 0, _PRODUCT_MODULES),
-        (["product", "delta(0) @ heaviside(1)"], 2, _PRODUCT_MODULES),
-        (["classify", "--c1", "-1", "--c2", "-1"], 0, _OPERATOR_MODULES),
-        (["represent", "--interacting", "0,1/2,-3/2"], 0, _OPERATOR_MODULES),
-        (["represent", "--bc", "2,-1,0,0;0,0,1,-2"], 0, _OPERATOR_MODULES),
-        (["scatter", "--delta", "-2", "--k", "1,2"], 0, _NUMERIC_MODULES),
-        (["spectrum", "--delta", "-2"], 0, _NUMERIC_MODULES),
-        (["weaklimit", "--dist", "piece(0,inf: 1+x)", "--test", "1-x"], 0, _NUMERIC_MODULES),
+    # where bytecode is not cached); a fresh process does not turn
+    # warnings into errors, so stderr must be empty but for a parse error
+    malformed = "parse error: unexpected character '@' at offset 9\n"
+    for argv, rc, stderr, modules in (
+        (["product", "delta(0)*heaviside(0)"], 0, "", _PRODUCT_MODULES),
+        (["product", "delta(0) @ heaviside(1)"], 2, malformed, _PRODUCT_MODULES),
+        (["classify", "--c1", "-1", "--c2", "-1"], 0, "", _OPERATOR_MODULES),
+        (["represent", "--interacting", "0,1/2,-3/2"], 0, "", _OPERATOR_MODULES),
+        (["represent", "--bc", "2,-1,0,0;0,0,1,-2"], 0, "", _OPERATOR_MODULES),
+        (["scatter", "--delta", "-2", "--k", "1,2"], 0, "", _NUMERIC_MODULES),
+        (["spectrum", "--delta", "-2"], 0, "", _NUMERIC_MODULES),
+        (["weaklimit", "--dist", "piece(0,inf: 1+x)", "--test", "1-x"], 0, "",
+         _NUMERIC_MODULES),
     ):
         done = fresh("-c", _ONE_COMMAND % (argv,))
+        assert done.returncode == 0 and done.stderr == stderr, (argv, done.stderr)
         assert done.stdout.splitlines()[-1] == "loaded %d %r" % (rc, modules), argv
     done = fresh("-c", _ONE_COMMAND % (["spectrum", "--delta", "-2", "--grid", "0.05,20,4000"],),
                  timeout=60)
@@ -683,6 +687,16 @@ def test_lazy_imports_keep_every_public_path(capsys, monkeypatch):
     names = {}
     exec("from deltastar import *", names)
     assert names["star_limit_oracle"] is star_limit_oracle
+    assert names["limit_oracle"] is limit_oracle
+    # the submodules that "import deltastar" or "import deltastar.cli" bound
+    # are attributes still, loaded on first use
+    done = fresh("-c", "import sys, deltastar\n"
+                 "assert deltastar.limit_oracle.star_limit_oracle is deltastar.star_limit_oracle\n"
+                 "import deltastar.cli\n"
+                 "assert 'deltastar.schrodinger' not in sys.modules\n"
+                 "for name in ('boundary_ops', 'numerics', 'schrodinger'):\n"
+                 "    assert getattr(deltastar, name) is sys.modules['deltastar.' + name]\n")
+    assert done.returncode == 0 and done.stderr == "", done.stderr
     # one PreconditionError, defined in dist_core: main maps it to exit 3
     # without importing the modules that raise it
     for module in (boundary_ops, schrodinger, numerics):
