@@ -34,13 +34,12 @@ from .dist_core import (
     zero,
 )
 
-# what "from deltastar import *" binds, as before limit_oracle was lazy
+# what "from deltastar import *" binds: the public names, the lazy ones included
 __all__ = [name for name in globals() if not name.startswith("_")] + [
     "limit_oracle", "star_limit_oracle"]
 __version__ = "0.1.0"
 
-# submodules that "import deltastar" (limit_oracle) or "import deltastar.cli"
-# (the rest) used to bind as attributes; they now load on first use
+# submodules reachable as attributes of the package before they are imported
 _SUBMODULES = ("boundary_ops", "limit_oracle", "numerics", "schrodinger")
 
 
