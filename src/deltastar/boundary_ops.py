@@ -26,11 +26,14 @@ derivatives are not part of a jet; it may be *post*composed
 delta'' terms are not allowed here.  Both restrictions raise
 PreconditionError, which is defined in dist_core (beside AlgebraError, so
 that catching it loads no operator module) and re-exported here.
+
+Jets, combinations, sided deltas and operator specs are Records: frozen
+value objects whose fields are their annotations.  The classifications,
+families and numerical results of schrodinger and numerics are too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, neg
 
 from .dist_core import (
@@ -38,7 +41,6 @@ from .dist_core import (
     Scalar,
     as_point,
     as_scalar,
-    coerce_scalar_fields,
     delta_dist,
     star,
 )
@@ -55,8 +57,73 @@ def _row(entries):
     return row
 
 
-@dataclass(frozen=True)
-class BoundaryJet:
+class Record:
+    """Frozen value object whose fields are its class's annotations.
+
+    A subclass lists its fields as annotations, in order; a class
+    attribute of the same name is that field's default.  It gets an
+    __init__ taking the fields positionally or by keyword, then calling
+    __post_init__ if the class has one (which may set fields with
+    object.__setattr__), and __eq__ and __hash__ over the field values,
+    equal only within one class.  _fields and __match_args__ name the
+    fields; repr shows them as name=value.  Assigning or deleting any
+    attribute raises AttributeError.  Attributes set past the fields
+    with object.__setattr__ (extract_bc's stored matrix) stay out of
+    equality, hash and repr.
+    """
+
+    def __init_subclass__(cls):
+        own = cls.__dict__
+        cls._fields = cls.__match_args__ = names = tuple(own.get("__annotations__", ()))
+        # object.__setattr__ keeps the values inline in the instance, where
+        # attribute reads are fastest; reading __dict__ would move them out
+        namespace = {"_setattr": object.__setattr__}
+        params = []
+        for name in names:
+            if name in own:
+                namespace["_dflt_" + name] = own[name]
+                name += "=_dflt_" + name
+            params.append(name)
+        source = "def __init__(self, %s):\n" % ", ".join(params)
+        source += "".join("    _setattr(self, %r, %s)\n" % (n, n) for n in names)
+        if hasattr(cls, "__post_init__"):
+            source += "    self.__post_init__()\n"
+        mine = "".join("self.%s, " % n for n in names)
+        theirs = "".join("other.%s, " % n for n in names)
+        source += (
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            "        return (%s) == (%s)\n"
+            "    return NotImplemented\n"
+            "def __hash__(self):\n"
+            "    return hash((%s))\n" % (mine, theirs, mine))
+        exec(source, namespace)
+        for name in ("__init__", "__eq__", "__hash__"):
+            method = namespace[name]
+            method.__qualname__ = "%s.%s" % (cls.__qualname__, name)
+            setattr(cls, name, method)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+
+def coerce_scalar_fields(record):
+    """__post_init__ of a Record whose fields are all scalars: coerce each
+    field with as_scalar."""
+    for name in record._fields:
+        value = getattr(record, name)
+        if type(value) is not Scalar:
+            object.__setattr__(record, name, as_scalar(value))
+
+
+class BoundaryJet(Record):
     """One-sided limits (psi(0-), psi(0+), psi'(0-), psi'(0+))."""
 
     psi_minus: Scalar
@@ -70,8 +137,7 @@ class BoundaryJet:
         return (self.psi_minus, self.psi_plus, self.dpsi_minus, self.dpsi_plus)
 
 
-@dataclass(frozen=True)
-class DeltaCombo:
+class DeltaCombo(Record):
     """A combination coeff_delta * delta + coeff_delta_prime * delta' at 0."""
 
     coeff_delta: Scalar
@@ -102,8 +168,7 @@ class DeltaCombo:
         return out
 
 
-@dataclass(frozen=True)
-class SidedDelta:
+class SidedDelta(Record):
     """One-sided multiplication by delta^(order)(x - point)."""
 
     side: str
@@ -255,8 +320,7 @@ _MINUS_FREE_PART = -(2 * _JUMP.precompose_derivative() + delta_diff(1))
 # operator specifications: singular perturbations of -d^2/dx^2
 
 
-@dataclass(frozen=True)
-class PointPotential:
+class PointPotential(Record):
     """c1*(left delta) + c2*(right delta) + b1*(left delta') + b2*(right delta').
 
     The purely multiplicative point perturbations: no composition with
@@ -271,8 +335,7 @@ class PointPotential:
     __post_init__ = coerce_scalar_fields
 
 
-@dataclass(frozen=True)
-class PseudoPotential:
+class PseudoPotential(Record):
     """General point perturbation direct + after_dx o D + D o dx_after_dx o D.
 
     Each block is a coefficient 4-vector over the basis
@@ -296,8 +359,7 @@ class PseudoPotential:
                 )
 
 
-@dataclass(frozen=True)
-class DeltaPrimeFamily:
+class DeltaPrimeFamily(Record):
     """c*(right delta') + d*(left delta') + e*D o jump + f*jump o D,
 
     where jump is the order-0 delta difference.  A four-parameter family

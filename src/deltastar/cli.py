@@ -162,8 +162,7 @@ def _cmd_represent(args):
         SeparatingFamily: ("separating", ("c1", "c2")),
     }[type(fam)]
     spec = fam.spec(**_overrides(args, name, takes))
-    params = {f: getattr(fam, f) for f in fam.__dataclass_fields__
-              if f not in takes}
+    params = {f: getattr(fam, f) for f in fam._fields if f not in takes}
     params = {f: ",".join(v) if isinstance(v, tuple) else v.token()
               for f, v in params.items()}
     return _represent_payload(name, [spec], [], params)

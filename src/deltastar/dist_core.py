@@ -405,15 +405,6 @@ def as_scalar(x):
     return s
 
 
-def coerce_scalar_fields(obj):
-    """__post_init__ of a frozen dataclass whose fields are all scalars:
-    coerce each field with as_scalar."""
-    for name in type(obj).__dataclass_fields__:
-        value = getattr(obj, name)
-        if type(value) is not Scalar:
-            object.__setattr__(obj, name, as_scalar(value))
-
-
 def as_scalar_or_none(x):
     if type(x) is Scalar:
         return x

@@ -39,7 +39,7 @@ of the construct that raised it.
 The record codec is line-oriented: a header line, one "key value..."
 line per field, and "end", with scalars in the canonical token form of
 Scalar.token().  For operator specs and self-adjoint classifications
-the lines are the dataclass fields in declaration order (SeparatingSA's
+the lines are the record fields in declaration order (SeparatingSA's
 a_minus... are keyed a-, b-, a+, b+); distributions, boundary-condition
 matrices and NotSelfAdjoint have their own layouts.  A zero denominator
 in any number is an ExprError.  encode() output is byte-stable;
@@ -441,7 +441,7 @@ def format_dist(F):
 
 
 # record header -> (class, values per line), and its inverse.  One "key
-# value..." line per dataclass field follows, in declaration order, keyed
+# value..." line per record field follows, in declaration order, keyed
 # by _line_key.  The classes live in boundary_ops and schrodinger, which a
 # dist record does not need, so _records() fills both tables, and binds
 # the two classes of the "row" records, on the first record of another
@@ -492,7 +492,7 @@ def encode(obj):
         if type(obj) in _HEADERS:
             head, width = _HEADERS[type(obj)]
             lines.append(head)
-            for name in obj.__dataclass_fields__:
+            for name in obj._fields:
                 value = getattr(obj, name)
                 text = value.token() if width == 1 else " ".join(map(Scalar.token, value))
                 lines.append("%s %s" % (_line_key(name), text))
@@ -605,7 +605,7 @@ def _decode_dist(rec):
 
 def _decode_fields(rec, cls, width):
     values = []
-    for name in cls.__dataclass_fields__:
+    for name in cls._fields:
         key = _line_key(name)
         _, vals, off = rec.next(key)
         if len(vals) != width:

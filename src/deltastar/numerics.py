@@ -24,10 +24,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .boundary_ops import PreconditionError, SidedDelta, apply_shifting_delta_dist
+from .boundary_ops import (
+    PreconditionError,
+    Record,
+    SidedDelta,
+    apply_shifting_delta_dist,
+)
 from .dist_core import Scalar, as_poly, gaussian_integers, pair_polynomial_test
 from .schrodinger import extract_bc, minors
 
@@ -134,8 +138,7 @@ def bump(x, order=0):
     return _BUMP_NORM * math.exp(-1.0 / t) * num / t ** (2 * order)
 
 
-@dataclass(frozen=True)
-class SmoothingKernel:
+class SmoothingKernel(Record):
     """Shifted, scaled bump derivative v_eps^(order)(x -+ eps).
 
     side "right" shifts the support to (0, 2*eps); side "left" to
@@ -249,8 +252,7 @@ def weak_limit_check(F, t=1, order=0, side="right",
 _NAN = complex(float("nan"), float("nan"))
 
 
-@dataclass(frozen=True)
-class ScatteringData:
+class ScatteringData(Record):
     """Reflection/transmission amplitudes at one wavenumber.
 
     singular means the jet system was degenerate at this k, D(-ik) = 0
@@ -373,8 +375,7 @@ _GRID_NEEDS = "spectrum --grid needs numpy and scipy"
 _GRID_MAX_N = 10 ** 6  # 8 MB per array of samples
 
 
-@dataclass(frozen=True)
-class GridHamiltonian:
+class GridHamiltonian(Record):
     """Central-difference -psi'' + V psi on [-L, L], Dirichlet at the ends.
 
     diag/offdiag form the symmetric tridiagonal matrix over the N interior

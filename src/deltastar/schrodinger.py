@@ -33,19 +33,19 @@ that realize them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .boundary_ops import (
     DeltaPrimeFamily,
     JetOperator,
     PointPotential,
     PreconditionError,
     PseudoPotential,
+    Record,
     _MINUS_FREE_PART,
     _row,
+    coerce_scalar_fields,
     constraint_rows,
 )
-from .dist_core import Scalar, as_scalar, coerce_scalar_fields
+from .dist_core import Scalar, as_scalar
 
 _ZERO = Scalar(0)
 _ONE = Scalar(1)
@@ -187,7 +187,7 @@ def extract_bc(spec):
     classification (the two rows it stands for), a NotSelfAdjoint
     classification (the BCMatrix it carries), or a BCMatrix, which is
     returned as it is.  A spec or classification is frozen, so its matrix
-    is built on the first read and stored on it, outside its dataclass
+    is built on the first read and stored on it, outside its record
     fields: equality, hash, repr and encoding do not see it.
     """
     if isinstance(spec, BCMatrix):
@@ -208,8 +208,7 @@ def extract_bc(spec):
 # classification
 
 
-@dataclass(frozen=True)
-class InteractingSA:
+class InteractingSA(Record):
     """Self-adjoint with conditions coupling the half-lines."""
 
     a: Scalar
@@ -219,8 +218,7 @@ class InteractingSA:
     __post_init__ = coerce_scalar_fields
 
 
-@dataclass(frozen=True)
-class SeparatingSA:
+class SeparatingSA(Record):
     """Self-adjoint with one condition per half-line.
 
     Each side is normalized: (1, t) means psi' = t psi on that side
@@ -235,8 +233,7 @@ class SeparatingSA:
     __post_init__ = coerce_scalar_fields
 
 
-@dataclass(frozen=True)
-class NotSelfAdjoint:
+class NotSelfAdjoint(Record):
     """Proper restriction of the maximal operator; conditions attached."""
 
     bc: BCMatrix
@@ -312,8 +309,7 @@ def classify(spec):
 # realization: interacting conditions
 
 
-@dataclass(frozen=True)
-class ConjugatePairFamily:
+class ConjugatePairFamily(Record):
     """Potentials with b2 = conj(b1) realizing InteractingSA(0, b, c).
 
     The coupling strength c may be split as c = k1 + k2 between the two
@@ -338,8 +334,7 @@ class ConjugatePairFamily:
     default = spec
 
 
-@dataclass(frozen=True)
-class OppositeSignFamily:
+class OppositeSignFamily(Record):
     """Potentials with b2 = -b1 realizing InteractingSA(0, 0, c).
 
     b1 is a free complex parameter away from +-1; the two couplings only
@@ -360,8 +355,7 @@ class OppositeSignFamily:
     default = spec
 
 
-@dataclass(frozen=True)
-class NotRepresentable:
+class NotRepresentable(Record):
     """No plain potential realizes the conditions; a PseudoPotential does."""
 
     reason: str
@@ -421,8 +415,7 @@ def represent_interacting(a, b, c):
 # realization: separating conditions
 
 
-@dataclass(frozen=True)
-class SeparatingFamily:
+class SeparatingFamily(Record):
     """Potentials realizing a pair of one-sided conditions.
 
     c1/c2 hold the default couplings; names in ``free`` may be overridden
@@ -506,8 +499,7 @@ def represent_from_bc(f1, f2):
                            (v2, v3, _ZERO, _ZERO))
 
 
-@dataclass(frozen=True)
-class NoGoCertificate:
+class NoGoCertificate(Record):
     """Why no realization with a vanishing D-sandwich block exists.
 
     With that block zero, one condition row is forced to read only the

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -34,6 +36,7 @@ from deltastar.boundary_ops import (
     sided_delta_op,
     to_jet_operator,
 )
+from deltastar import numerics, schrodinger
 from deltastar.schrodinger import extract_bc
 from helpers import (
     jet_from_vector,
@@ -244,3 +247,107 @@ def test_hamiltonian_from_the_product_gives_the_constraint_operator():
             assert not any(d.point == 0 for d in H.deltas), (spec, v)
             domain_jets += 1
     assert len(specs) > 300 and domain_jets > 600
+
+
+# one record of each of the 17 classes, with its repr as the dataclass
+# versions printed it
+_RECORDS = (
+    (lambda: BoundaryJet(1, Fraction(1, 2), "1i", 0),
+     "BoundaryJet(psi_minus=1, psi_plus=1/2, dpsi_minus=1i, dpsi_plus=0)"),
+    (lambda: DeltaCombo(2, "-1/3"),
+     "DeltaCombo(coeff_delta=2, coeff_delta_prime=-1/3)"),
+    (lambda: SidedDelta("left"), "SidedDelta(side='left', order=0, point=0)"),
+    (lambda: SidedDelta("right", 1, Fraction(3, 4)),
+     "SidedDelta(side='right', order=1, point=3/4)"),
+    (lambda: PointPotential(1, 2, 3, 4), "PointPotential(c1=1, c2=2, b1=3, b2=4)"),
+    (lambda: PseudoPotential((1, 0, 2, "1i"), (0, 1, 0, 0), (3, 0, 0, 0)),
+     "PseudoPotential(direct=(1, 0, 2, 1i), after_dx=(0, 1, 0, 0), "
+     "dx_after_dx=(3, 0, 0, 0))"),
+    (lambda: DeltaPrimeFamily(1, 2, 3, 4), "DeltaPrimeFamily(c=1, d=2, e=3, f=4)"),
+    (lambda: schrodinger.InteractingSA(1, Fraction(1, 2), 3),
+     "InteractingSA(a=1, b=1/2, c=3)"),
+    (lambda: schrodinger.SeparatingSA(1, 2, 0, 1),
+     "SeparatingSA(a_minus=1, b_minus=2, a_plus=0, b_plus=1)"),
+    (lambda: schrodinger.NotSelfAdjoint(schrodinger.BCMatrix([[1, 0, 2, 0], [0, 1, 0, 3]])),
+     "NotSelfAdjoint(bc=BCMatrix([['1', '0', '2', '0'], ['0', '1', '0', '3']]))"),
+    (lambda: schrodinger.ConjugatePairFamily(*map(Scalar, (1, 2, 3, 4, 5, 6))),
+     "ConjugatePairFamily(b=1, c=2, b1=3, b2=4, x1=5, x2=6)"),
+    (lambda: schrodinger.OppositeSignFamily(Scalar(-3)), "OppositeSignFamily(c=-3)"),
+    (lambda: schrodinger.NotRepresentable("why", PseudoPotential((1, 0, 0, 0), (0,) * 4, (0,) * 4)),
+     "NotRepresentable(reason='why', pseudo=PseudoPotential(direct=(1, 0, 0, 0), "
+     "after_dx=(0, 0, 0, 0), dx_after_dx=(0, 0, 0, 0)))"),
+    (lambda: schrodinger.SeparatingFamily(*map(Scalar, (1, -1, 1, 1)), ("c1", "c2")),
+     "SeparatingFamily(b1=1, b2=-1, c1=1, c2=1, free=('c1', 'c2'))"),
+    (lambda: schrodinger.NoGoCertificate(((Scalar(1), Scalar(0)), (Scalar(0), Scalar(1))), Scalar(1)),
+     "NoGoCertificate(derivative_block=((1, 0), (0, 1)), det=1)"),
+    (lambda: numerics.SmoothingKernel(0.1), "SmoothingKernel(eps=0.1, order=0, side='right')"),
+    (lambda: numerics.ScatteringData(1.0, singular=True),
+     "ScatteringData(k=1.0, r_left=(nan+nanj), t_left=(nan+nanj), r_right=(nan+nanj), "
+     "t_right=(nan+nanj), singular=True)"),
+    (lambda: numerics.ScatteringData(2.0, 1j, 0.5 + 0j, -1j, complex(0.25, -0.5)),
+     "ScatteringData(k=2.0, r_left=1j, t_left=(0.5+0j), r_right=(-0-1j), "
+     "t_right=(0.25-0.5j), singular=False)"),
+    (lambda: numerics.GridHamiltonian(1.0, 2, (0.0, 0.5), (1.0, 2.0), (3.0,)),
+     "GridHamiltonian(L=1.0, N=2, x=(0.0, 0.5), diag=(1.0, 2.0), offdiag=(3.0,))"),
+)
+
+
+def test_records_are_frozen_values():
+    assert len({type(make()) for make, _ in _RECORDS}) == 17
+    for make, text in _RECORDS:
+        record, twin = make(), make()
+        assert repr(record) == text
+        assert record == twin and hash(record) == hash(twin)
+        assert type(record).__match_args__ == record._fields
+        name = record._fields[0]
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, name) is value and not hasattr(record, "extra")
+        # a NaN amplitude equals only itself, and unpickling makes a new one
+        for back in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(back) is type(record) and repr(back) == text
+            if "nan" not in text:
+                assert back == record and hash(back) == hash(record)
+    # equal values in another class are another value
+    assert PointPotential(1, 2, 3, 4) != DeltaPrimeFamily(1, 2, 3, 4)
+    assert BoundaryJet(1, 2, 3, 4) != (1, 2, 3, 4)
+    assert PointPotential(1, 2, 3, 4) != PointPotential(1, 2, 3, 5)
+    # keywords, defaults and the checks after construction
+    assert SidedDelta("left") == SidedDelta(side="left", order=0, point=0)
+    scattering = numerics.ScatteringData(1.0, singular=True)
+    assert scattering.singular is True and scattering.r_left != scattering.r_left
+    assert numerics.SmoothingKernel(0.1) == numerics.SmoothingKernel(side="right", eps=0.1)
+    assert PointPotential(b2=4, b1=3, c2=2, c1=1) == PointPotential(1, 2, 3, 4)
+    assert type(PointPotential(1, 2, 3, b2=Fraction(1, 2)).b2) is Scalar
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        SidedDelta(side="up")
+    with pytest.raises(PreconditionError, match="eps must be positive"):
+        numerics.SmoothingKernel(eps=0.0)
+    for build in (lambda: PointPotential(1, 2, 3),
+                  lambda: PointPotential(1, 2, 3, 4, 5),
+                  lambda: SidedDelta(),
+                  lambda: SidedDelta("left", sign=1),
+                  lambda: SidedDelta("left", side="right"),
+                  lambda: numerics.ScatteringData(k=1.0, phase=0.0)):
+        with pytest.raises(TypeError):
+            build()
+    match PointPotential(1, 2, 3, 4):
+        case PointPotential(c1, c2, b1, b2):
+            assert (c1, c2, b1, b2) == (1, 2, 3, 4)
+        case _:
+            pytest.fail("PointPotential does not match positionally")
+    # the conditions extract_bc stores on a spec travel with its copies
+    spec = PointPotential(1, 2, Fraction(1, 3), 0)
+    bc = extract_bc(spec)
+    assert spec._bc is bc and "_bc" not in spec._fields
+    assert copy.copy(spec)._bc is bc
+    for back in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert back == spec and hash(back) == hash(spec)
+        assert extract_bc(back) is back._bc and back._bc == bc
+        assert back._bc.rows == bc.rows

@@ -646,8 +646,8 @@ _ONE_COMMAND = """
 import sys
 from deltastar import cli
 rc = cli.main(%r)
-print("loaded", rc, sorted(
-    m for m in sys.modules if m.split(".")[0] in ("deltastar", "numpy", "scipy")))
+print("loaded", rc, sorted(m for m in sys.modules if m.split(".")[0] in (
+    "deltastar", "numpy", "scipy", "dataclasses", "inspect")))
 """
 
 _PRODUCT_MODULES = ["deltastar", "deltastar.cli", "deltastar.dist_core", "deltastar.expr_io"]
@@ -656,10 +656,11 @@ _NUMERIC_MODULES = sorted(_OPERATOR_MODULES + ["deltastar.numerics"])
 
 
 def test_only_the_grid_imports_numpy_and_scipy():
-    # one fresh process per command: no numpy or scipy, and of the program
-    # only the modules that the subcommand runs (each is compiled anew
-    # where bytecode is not cached); a fresh process does not turn
-    # warnings into errors, so stderr must be empty but for a parse error
+    # one fresh process per command: no numpy or scipy, no dataclasses or
+    # inspect, and of the program only the modules that the subcommand
+    # runs (each is compiled anew where bytecode is not cached); a fresh
+    # process does not turn warnings into errors, so stderr must be empty
+    # but for a parse error
     malformed = "parse error: unexpected character '@' at offset 9\n"
     for argv, rc, stderr, modules in (
         (["product", "delta(0)*heaviside(0)"], 0, "", _PRODUCT_MODULES),
