@@ -587,6 +587,31 @@ def test_readme_examples(capsys):
         assert (got[:len(shown)] if cut else got) == shown, argv
 
 
+def test_cli_corpus_bytes():
+    # tests/data/cli_corpus.jsonl holds the exit code, stdout and stderr of
+    # 480 seeded inputs, each recorded from a fresh process by
+    # tests/make_cli_corpus.py; replayed here in one process, every byte
+    # must match
+    path = os.path.join(os.path.dirname(__file__), "data", "cli_corpus.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        entries = [json.loads(line) for line in fh]
+    assert len(entries) == 480
+    changed = []
+    for entry in entries:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(entry["argv"])
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+        got = {"argv": entry["argv"], "exit": rc,
+               "stdout": out.getvalue(), "stderr": err.getvalue()}
+        if got != entry:
+            changed.append((entry, got))
+    assert not changed, "%d of 480 entries changed; the first:\n%r\nnow:\n%r" % (
+        len(changed), *changed[0])
+
+
 def test_weaklimit_table(capsys):
     payload = run_json(
         capsys, "weaklimit", "--dist", "heaviside(0)", "--eps", "0.1,0.05"
