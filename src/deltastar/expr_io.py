@@ -37,18 +37,19 @@ cap) goes through one translator, _read, into an ExprError at the offset
 of the construct that raised it.
 
 The record codec is line-oriented: a header line, one "key value..."
-line per field, and "end", with scalars in the canonical token form of
-Scalar.token().  For operator specs and self-adjoint classifications
-the lines are the record fields in declaration order (SeparatingSA's
-a_minus... are keyed a-, b-, a+, b+); distributions, boundary-condition
-matrices and NotSelfAdjoint have their own layouts.  A zero denominator
-in any number is an ExprError.  encode() output is byte-stable;
-decode(encode(x)) == x.
+line per field or row, and "end", with scalars in Scalar.token() form.
+A distribution has its own layout; one table maps the header of each
+of the seven other kinds to its class and layout, and an object's exact
+type decides its kind.  Fields go in declaration order (SeparatingSA's
+a_minus... are keyed a-, b-, a+, b+).  A zero denominator in any number
+is an ExprError.  encode() output is byte-stable; decode(encode(x)) == x.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from types import MappingProxyType
 
 from .dist_core import (
     AlgebraError,
@@ -440,34 +441,33 @@ def format_dist(F):
 # record codec
 
 
-# record header -> (class, values per line), and its inverse.  One "key
-# value..." line per record field follows, in declaration order, keyed
-# by _line_key.  The classes live in boundary_ops and schrodinger, which a
-# dist record does not need, so _records() fills both tables, and binds
-# the two classes of the "row" records, on the first record of another
-# kind.
-_RECORDS = {}
-_HEADERS = {}
-BCMatrix = NotSelfAdjoint = None
-
-
+@functools.cache
 def _records():
-    """The filled header -> (class, values per line) table."""
-    global BCMatrix, NotSelfAdjoint
-    if not _RECORDS:
-        from .boundary_ops import DeltaPrimeFamily, PointPotential, PseudoPotential
-        from .schrodinger import BCMatrix, InteractingSA, NotSelfAdjoint, SeparatingSA
-        records = {
-            "opspec potential": (PointPotential, 1),
-            "opspec pseudo": (PseudoPotential, 4),
-            "opspec deltaprime": (DeltaPrimeFamily, 1),
-            "classification interacting": (InteractingSA, 1),
-            "classification separating": (SeparatingSA, 1),
-        }
-        # the inverse first: a filled _RECORDS means both are filled
-        _HEADERS.update((cls, (head, width)) for head, (cls, width) in records.items())
-        _RECORDS.update(records)
-    return _RECORDS
+    """The one table of records but dist: header -> (class, layout).
+
+    Layout 1 or 4: one "key value..." line per field, in declaration
+    order, keyed by _line_key, with that many values.  Layout "rows": a
+    "row" line per row of the record's BCMatrix (a NotSelfAdjoint's is
+    its bc).  Built on the first record that is not a dist, which alone
+    needs no boundary_ops or schrodinger.
+    """
+    from .boundary_ops import DeltaPrimeFamily, PointPotential, PseudoPotential
+    from .schrodinger import BCMatrix, InteractingSA, NotSelfAdjoint, SeparatingSA
+    return MappingProxyType({
+        "opspec potential": (PointPotential, 1),
+        "opspec pseudo": (PseudoPotential, 4),
+        "opspec deltaprime": (DeltaPrimeFamily, 1),
+        "classification interacting": (InteractingSA, 1),
+        "classification separating": (SeparatingSA, 1),
+        "classification not-self-adjoint": (NotSelfAdjoint, "rows"),
+        "bc": (BCMatrix, "rows"),
+    })
+
+
+@functools.cache
+def _headers():
+    """The inverse of _records: exact class -> (header, layout)."""
+    return MappingProxyType({cls: (head, layout) for head, (cls, layout) in _records().items()})
 
 
 def _line_key(name):
@@ -488,23 +488,19 @@ def encode(obj):
         for d in obj.deltas:
             lines.append("delta %s %d %s" % (d.point.token(), d.order, d.coeff.token()))
     else:
-        _records()  # fills _HEADERS and binds NotSelfAdjoint and BCMatrix
-        if type(obj) in _HEADERS:
-            head, width = _HEADERS[type(obj)]
-            lines.append(head)
+        record = _headers().get(type(obj))
+        if record is None:
+            raise TypeError("cannot encode %r" % (obj,))
+        head, layout = record
+        lines.append(head)
+        if layout == "rows":
+            bc = obj if head == "bc" else obj.bc
+            lines += ["row " + " ".join(map(Scalar.token, row)) for row in bc.rows]
+        else:
             for name in obj._fields:
                 value = getattr(obj, name)
-                text = value.token() if width == 1 else " ".join(map(Scalar.token, value))
+                text = value.token() if layout == 1 else " ".join(map(Scalar.token, value))
                 lines.append("%s %s" % (_line_key(name), text))
-        elif isinstance(obj, (NotSelfAdjoint, BCMatrix)):
-            if isinstance(obj, NotSelfAdjoint):
-                lines.append("classification not-self-adjoint")
-                obj = obj.bc
-            else:
-                lines.append("bc")
-            lines += ["row " + " ".join(map(Scalar.token, row)) for row in obj.rows]
-        else:
-            raise TypeError("cannot encode %r" % (obj,))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -558,13 +554,15 @@ def decode(text):
     try:
         if head == "dist":
             return _decode_dist(rec)
-        record = _records().get(head + " " + kind)  # binds the two below
-        if head == "bc":
-            return BCMatrix(_decode_rows(rec))
-        if head == "classification" and kind == "not-self-adjoint":
-            return NotSelfAdjoint(BCMatrix(_decode_rows(rec)))
+        # the header word alone, then with its kind: extra words are ignored
+        records = _records()
+        record = records.get(head) or records.get(head + " " + kind)
         if record is not None:
-            return _decode_fields(rec, *record)
+            cls, layout = record
+            if layout != "rows":
+                return _decode_fields(rec, cls, layout)
+            bc = records["bc"][0](_decode_rows(rec))
+            return bc if head == "bc" else cls(bc)
     except (AlgebraError, PreconditionError) as exc:
         raise ExprError(str(exc), off) from exc
     if head in ("opspec", "classification"):
