@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING
 
 from .boundary_ops import (
     PreconditionError,
@@ -34,9 +33,6 @@ from .boundary_ops import (
 )
 from .dist_core import Scalar, as_poly, gaussian_integers, pair_polynomial_test
 from .schrodinger import extract_bc, minors
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 # --------------------------------------------------------------------------
@@ -375,18 +371,18 @@ _GRID_NEEDS = "spectrum --grid needs numpy and scipy"
 _GRID_MAX_N = 10 ** 6  # 8 MB per array of samples
 
 
-class GridHamiltonian(Record):
+class GridHamiltonian:
     """Central-difference -psi'' + V psi on [-L, L], Dirichlet at the ends.
 
     diag/offdiag form the symmetric tridiagonal matrix over the N interior
-    points x_j = -L + (j+1) h, h = 2L/(N+1).
+    points x_j = -L + (j+1) h, h = 2L/(N+1).  A plain object: its numpy
+    arrays have no value equality, so two grids compare by identity.
     """
 
-    L: float
-    N: int
-    x: np.ndarray
-    diag: np.ndarray
-    offdiag: np.ndarray
+    __slots__ = ("L", "N", "x", "diag", "offdiag")
+
+    def __init__(self, L, N, x, diag, offdiag):
+        self.L, self.N, self.x, self.diag, self.offdiag = L, N, x, diag, offdiag
 
 
 class GridWell:

@@ -249,7 +249,7 @@ def test_hamiltonian_from_the_product_gives_the_constraint_operator():
     assert len(specs) > 300 and domain_jets > 600
 
 
-# one record of each of the 17 classes, with its repr as the dataclass
+# one record of each of the 16 classes, with its repr as the dataclass
 # versions printed it
 _RECORDS = (
     (lambda: BoundaryJet(1, Fraction(1, 2), "1i", 0),
@@ -287,13 +287,11 @@ _RECORDS = (
     (lambda: numerics.ScatteringData(2.0, 1j, 0.5 + 0j, -1j, complex(0.25, -0.5)),
      "ScatteringData(k=2.0, r_left=1j, t_left=(0.5+0j), r_right=(-0-1j), "
      "t_right=(0.25-0.5j), singular=False)"),
-    (lambda: numerics.GridHamiltonian(1.0, 2, (0.0, 0.5), (1.0, 2.0), (3.0,)),
-     "GridHamiltonian(L=1.0, N=2, x=(0.0, 0.5), diag=(1.0, 2.0), offdiag=(3.0,))"),
 )
 
 
 def test_records_are_frozen_values():
-    assert len({type(make()) for make, _ in _RECORDS}) == 17
+    assert len({type(make()) for make, _ in _RECORDS}) == 16
     for make, text in _RECORDS:
         record, twin = make(), make()
         assert repr(record) == text

@@ -587,6 +587,16 @@ def test_grid_box_modes():
         assert abs(got - exact) < 1e-4 * exact + 1e-8
 
 
+def test_grids_compare_by_identity():
+    # numpy arrays have no value equality: two grids from the same inputs
+    # are two objects, each hashable, with the same eigenvalues
+    well = GridWell(-2.0, 0.05)
+    H, twin = grid_hamiltonian(12.0, 1500, well), grid_hamiltonian(12.0, 1500, well)
+    assert H != twin and H == H
+    assert hash(H) != hash(twin) and hash(H) == hash(H)
+    assert grid_eigenvalues(H, 2) == grid_eigenvalues(twin, 2)
+
+
 def test_grid_potential_and_validation():
     kern = SmoothingKernel(0.05, 0)
     H = grid_hamiltonian(10.0, 400, potential=lambda x: -2.0 * kern(x))
