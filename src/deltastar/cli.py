@@ -106,10 +106,11 @@ def _cmd_classify(args):
 
 
 def _represent_payload(family, specs, notes, params=None):
+    records = [encode(s) for s in specs]
     payload = {
         "status": "ok",
         "family": family,
-        "specs": [encode(s) for s in specs],
+        "specs": records,
         "notes": notes,
     }
     if params:
@@ -117,7 +118,7 @@ def _represent_payload(family, specs, notes, params=None):
     lines = ["family %s" % family]
     lines += ["%s %s" % kv for kv in (params or {}).items()]
     lines += ["note %s" % n for n in notes]
-    lines += [encode(s).rstrip("\n") for s in specs]
+    lines += [r.rstrip("\n") for r in records]
     return payload, lines
 
 
