@@ -317,6 +317,25 @@ def test_codec_classification_round_trips():
         back = decode(text)
         assert back == item
         assert encode(back) == text
+    # words past the kind on the header line are ignored
+    for text, want in (
+        ("bc extra\nrow 0 0 1 0\nrow 0 0 0 1\nend\n", rows),
+        ("opspec potential extra\nc1 1\nc2 1/2\nb1 0\nb2 2i\nend\n",
+         s.PointPotential(1, Fraction(1, 2), 0, "2i")),
+        ("classification not-self-adjoint x\nrow 0 0 1 0\nrow 0 0 0 1\nend\n",
+         s.NotSelfAdjoint(rows)),
+    ):
+        back = decode(text)
+        assert type(back) is type(want) and back == want
+    # the exact type decides the kind: a subclass, or a value of no
+    # record kind, is not encoded
+
+    class Rows(s.BCMatrix):
+        __slots__ = ()
+
+    for other in (Rows(rows.rows), Scalar(1), (1, 2)):
+        with pytest.raises(TypeError, match="cannot encode"):
+            encode(other)
 
 
 # one record of every kind: dist, each opspec, each classification, bc
