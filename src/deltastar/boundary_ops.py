@@ -62,30 +62,36 @@ class Record:
 
     A subclass lists its fields as annotations, in order; a class
     attribute of the same name is that field's default.  It gets an
-    __init__ taking the fields positionally or by keyword, then calling
-    __post_init__ if the class has one (which may set fields with
-    object.__setattr__), and __eq__ and __hash__ over the field values,
-    equal only within one class.  _fields and __match_args__ name the
-    fields; repr shows them as name=value.  Assigning or deleting any
-    attribute raises AttributeError.  Attributes set past the fields
-    with object.__setattr__ (extract_bc's stored matrix) stay out of
-    equality, hash and repr.
+    __init__ taking the fields positionally or by keyword, passing each
+    field annotated Scalar through as_scalar (so it holds a Scalar, or
+    the call raises), then calling __post_init__ if the class has one
+    (which may set fields with object.__setattr__), and __eq__ and
+    __hash__ over the field values, equal only within one class.
+    _fields and __match_args__ name the fields; repr shows them as
+    name=value.  Assigning or deleting any attribute raises
+    AttributeError.  Attributes set past the fields with
+    object.__setattr__ (extract_bc's stored matrix) stay out of equality,
+    hash and repr.
     """
 
     def __init_subclass__(cls):
         own = cls.__dict__
-        cls._fields = cls.__match_args__ = names = tuple(own.get("__annotations__", ()))
+        annotations = own.get("__annotations__", {})
+        cls._fields = cls.__match_args__ = names = tuple(annotations)
         # object.__setattr__ keeps the values inline in the instance, where
         # attribute reads are fastest; reading __dict__ would move them out
-        namespace = {"_setattr": object.__setattr__}
+        namespace = {"_setattr": object.__setattr__, "_Scalar": Scalar,
+                     "_as_scalar": as_scalar}
         params = []
         for name in names:
             if name in own:
                 namespace["_dflt_" + name] = own[name]
                 name += "=_dflt_" + name
             params.append(name)
+        scalar = "{0} if {0}.__class__ is _Scalar else _as_scalar({0})"
         source = "def __init__(self, %s):\n" % ", ".join(params)
-        source += "".join("    _setattr(self, %r, %s)\n" % (n, n) for n in names)
+        source += "".join("    _setattr(self, %r, %s)\n" % (n, scalar.format(n) if (
+            annotations[n] in ("Scalar", Scalar)) else n) for n in names)
         if hasattr(cls, "__post_init__"):
             source += "    self.__post_init__()\n"
         mine = "".join("self.%s, " % n for n in names)
@@ -114,15 +120,6 @@ class Record:
             "%s=%r" % (name, getattr(self, name)) for name in self._fields))
 
 
-def coerce_scalar_fields(record):
-    """__post_init__ of a Record whose fields are all scalars: coerce each
-    field with as_scalar."""
-    for name in record._fields:
-        value = getattr(record, name)
-        if type(value) is not Scalar:
-            object.__setattr__(record, name, as_scalar(value))
-
-
 class BoundaryJet(Record):
     """One-sided limits (psi(0-), psi(0+), psi'(0-), psi'(0+))."""
 
@@ -130,8 +127,6 @@ class BoundaryJet(Record):
     psi_plus: Scalar
     dpsi_minus: Scalar
     dpsi_plus: Scalar
-
-    __post_init__ = coerce_scalar_fields
 
     def as_tuple(self):
         return (self.psi_minus, self.psi_plus, self.dpsi_minus, self.dpsi_plus)
@@ -142,8 +137,6 @@ class DeltaCombo(Record):
 
     coeff_delta: Scalar
     coeff_delta_prime: Scalar
-
-    __post_init__ = coerce_scalar_fields
 
     @property
     def is_zero(self):
@@ -332,8 +325,6 @@ class PointPotential(Record):
     b1: Scalar
     b2: Scalar
 
-    __post_init__ = coerce_scalar_fields
-
 
 class PseudoPotential(Record):
     """General point perturbation direct + after_dx o D + D o dx_after_dx o D.
@@ -370,8 +361,6 @@ class DeltaPrimeFamily(Record):
     d: Scalar
     e: Scalar
     f: Scalar
-
-    __post_init__ = coerce_scalar_fields
 
 
 def to_jet_operator(spec):

@@ -175,9 +175,9 @@ def _represent_bc(text):
         check_potential_representable_B3_zero,
         delta_prime_interaction,
         delta_well,
-        dirichlet_specs,
-        extract_bc,
+        minors,
         represent_from_bc,
+        represent_separating,
     )
     rows = _bc_rows(text)
     bc = BCMatrix(rows)
@@ -199,9 +199,9 @@ def _represent_bc(text):
     if theta is not None and theta != -1:
         specs.append(delta_prime_interaction(theta))
         notes.append("theta conditions with theta %s" % theta.token())
-    plain = dirichlet_specs()[1]
-    if bc.row_equivalent(extract_bc(plain)):
-        specs.append(plain)
+    # psi(0-) = psi(0+) = 0 exactly when only m01 is nonzero
+    if not any(minors(bc)[1:]):
+        specs.append(represent_separating(0, 1, 0, 1).default())
         notes.append("double Dirichlet point form")
     return _represent_payload("from-bc", specs, notes)
 

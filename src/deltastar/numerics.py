@@ -360,6 +360,10 @@ def bound_states(bc):
         kappas = [-p / 2] if disc == 0 else []
         if disc > 0:
             s = -(float(p) + math.copysign(math.sqrt(disc), p)) / 2
+            if not s:
+                # both roots are below 1e-161, so each energy rounds to -0.0;
+                # count the positive ones from their product q and sum -p
+                return [-0.0] * (1 if q < 0 else (p < 0) * (1 + (q > 0)))
             kappas = [s, float(q) / s]
     return sorted(float(-x ** 2) for x in kappas if x > 0)
 

@@ -42,7 +42,6 @@ from .boundary_ops import (
     Record,
     _MINUS_FREE_PART,
     _row,
-    coerce_scalar_fields,
     constraint_rows,
 )
 from .dist_core import Scalar, as_scalar
@@ -215,8 +214,6 @@ class InteractingSA(Record):
     b: Scalar
     c: Scalar
 
-    __post_init__ = coerce_scalar_fields
-
 
 class SeparatingSA(Record):
     """Self-adjoint with one condition per half-line.
@@ -229,8 +226,6 @@ class SeparatingSA(Record):
     b_minus: Scalar
     a_plus: Scalar
     b_plus: Scalar
-
-    __post_init__ = coerce_scalar_fields
 
 
 class NotSelfAdjoint(Record):

@@ -120,6 +120,20 @@ def jet_from_vector(v):
     return BoundaryJet(v[0], v[1], v[2], v[3])
 
 
+def constrained_jets(bc, rng, count):
+    """count jets satisfying the conditions of bc: seeded random
+    combinations of its kernel basis."""
+    basis = bc.kernel_basis()
+    jets = []
+    for _ in range(count):
+        vec = [Scalar(0)] * 4
+        for v in basis:
+            c = rand_scalar(rng)
+            vec = [a + c * b for a, b in zip(vec, v)]
+        jets.append(jet_from_vector(vec))
+    return jets
+
+
 def oracle_corpus():
     """Seeded specs of every kind, with self-adjoint cases of each."""
     rng = random.Random(612)

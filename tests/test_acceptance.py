@@ -53,11 +53,10 @@ from deltastar.schrodinger import (
     sesquilinear_form,
 )
 from helpers import (
+    constrained_jets,
     even_ground_state,
-    jet_from_vector,
     rand_dist,
     rand_frac,
-    rand_scalar,
 )
 
 
@@ -81,18 +80,6 @@ def sa_corpus():
         if not isinstance(classify(spec), NotSelfAdjoint):
             out.append(spec)
     return out
-
-
-def constrained_jets(bc, rng, count):
-    basis = bc.kernel_basis()
-    jets = []
-    for _ in range(count):
-        vec = [Scalar(0)] * 4
-        for v in basis:
-            c = rand_scalar(rng)
-            vec = [a + c * b for a, b in zip(vec, v)]
-        jets.append(jet_from_vector(vec))
-    return jets
 
 
 def test_criterion_1_star_matches_limit_oracle():

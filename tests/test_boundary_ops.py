@@ -26,6 +26,7 @@ from deltastar.boundary_ops import (
     PointPotential,
     PreconditionError,
     PseudoPotential,
+    Record,
     SidedDelta,
     apply_operator,
     apply_shifting_delta,
@@ -349,3 +350,27 @@ def test_records_are_frozen_values():
         assert back == spec and hash(back) == hash(spec)
         assert extract_bc(back) is back._bc and back._bc == bc
         assert back._bc.rows == bc.rows
+
+
+def test_scalar_fields_hold_scalars():
+    # every field annotated Scalar is coerced by the generated __init__;
+    # the other fields get a fixed valid value
+    others = {"side": "left", "order": 1, "free": ("c1",),
+              "derivative_block": ((1, 2), (3, 4))}
+    scalar_fields = {cls: [n for n in cls._fields if cls.__annotations__[n] == "Scalar"]
+                     for cls in Record.__subclasses__()}
+    scalar_fields = {cls: names for cls, names in scalar_fields.items() if names}
+    assert sorted(cls.__name__ for cls in scalar_fields) == [
+        "BoundaryJet", "ConjugatePairFamily", "DeltaCombo", "DeltaPrimeFamily",
+        "InteractingSA", "NoGoCertificate", "OppositeSignFamily",
+        "PointPotential", "SeparatingFamily", "SeparatingSA", "SidedDelta"]
+    for cls, names in scalar_fields.items():
+        for raw in (3, Fraction(-1, 2), "2/3"):
+            record = cls(**{n: raw if n in names else others[n] for n in cls._fields})
+            for name in names:
+                value = getattr(record, name)
+                assert value.__class__ is Scalar and value == Scalar(raw), (cls, name)
+    for build in (lambda: schrodinger.OppositeSignFamily(0.5),
+                  lambda: schrodinger.NoGoCertificate(((1, 2), (3, 4)), 0.5)):
+        with pytest.raises(TypeError, match="cannot use 0.5 as an exact scalar"):
+            build()

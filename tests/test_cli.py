@@ -305,6 +305,8 @@ def test_represent_from_bc_recognizes_jump(capsys):
         ("1,1,0,0;0,0,1,1", None, None),
         ("1,0,0,0;0,1,0,0", "double Dirichlet point form",
          PointPotential(1, 1, 1, -1)),
+        ("2,3,0,0;1,-1,0,0", "double Dirichlet point form",
+         PointPotential(1, 1, 1, -1)),
     ):
         payload = run_json(capsys, "represent", "--bc", rows)
         assert payload["notes"] == ([note] if note else [])
@@ -376,6 +378,13 @@ def test_spectrum_deep_well(capsys):
     rc, out, err = run(capsys, "spectrum", "--delta=-200")
     assert rc == 0
     assert out.splitlines() == ["source,index,energy", "bound,0,-10000"]
+
+
+def test_spectrum_of_roots_below_the_float_range(capsys):
+    # kappa = 3e-400 and 1e-400: the energies round to -0, not a traceback
+    rc, out, err = run(capsys, "spectrum", "--bc=-3e-400,0,1,0;0,1e-400,0,1")
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == ["source,index,energy", "bound,0,-0", "bound,1,-0"]
 
 
 def test_values_past_the_float_range_exit_3(capsys):

@@ -356,6 +356,18 @@ def test_bound_states_beyond_the_old_kappa_grid():
     assert abs(E + 2.5e-7) <= 1e-12 * 2.5e-7
 
 
+def test_bound_states_below_the_float_range():
+    # psi'(0-) = a psi(0-) and psi'(0+) = -b psi(0+): kappa = a and kappa = b,
+    # each a bound state when positive.  With |a|, |b| near 1e-400 the
+    # stable formula's larger root is 0.0; every energy rounds to -0.0
+    tiny = Fraction(1, 10 ** 400)
+    for a, b, count in ((3, 1, 2), (3, -1, 1), (-3, 1, 1), (-3, -1, 0),
+                        (0, 1, 1), (0, -1, 0)):
+        E = bound_states(BCMatrix([[-a * tiny, 0, 1, 0], [0, b * tiny, 0, 1]]))
+        assert E == [0.0] * count, (a, b)
+        assert all(math.copysign(1, e) == -1 for e in E)
+
+
 def test_complex_rows_bound_state():
     # psi'(0-) = psi(0-) and psi'(0+) = -i psi(0+): the determinant
     # (kappa - 1)(i - kappa) has non-real coefficients; the root of its

@@ -47,6 +47,7 @@ from deltastar.schrodinger import (
 )
 from deltastar.numerics import _spectral_ints
 from helpers import (
+    constrained_jets,
     jet_from_vector,
     oracle_corpus,
     rand_frac,
@@ -518,18 +519,6 @@ def corpus():
         if not isinstance(classify(spec), NotSelfAdjoint):
             out.append(spec)
     return out
-
-
-def constrained_jets(bc, rng, count):
-    basis = bc.kernel_basis()
-    jets = []
-    for _ in range(count):
-        vec = [Scalar(0)] * 4
-        for v in basis:
-            c = rand_scalar(rng)
-            vec = [a + c * b for a, b in zip(vec, v)]
-        jets.append(jet_from_vector(vec))
-    return jets
 
 
 def test_hermiticity_on_constrained_jets():
