@@ -12,7 +12,8 @@ form is built from their order alone and never hashes them.
 
 Canonical form, built once per result by one builder from typed parts
 (the constructor checks outside input, then calls it; every operation
-here calls it with parts it made itself):
+here calls it with parts it made itself, and a sum of any length calls
+it once; an atom whose parts are canonical as they stand skips it):
 
   * breakpoints strictly increasing; every delta location is a breakpoint
     (missing ones are inserted, splitting the covering piece);
@@ -82,6 +83,11 @@ _EXPONENT_CAP = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 # "p" and "p/q" in ASCII digits, read by int(), not Fraction's text parser
 _RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# int() refuses text past sys.get_int_max_str_digits() with advice about
+# the interpreter; the input is told what is wrong with it instead
+_TOO_LONG = "number has more than %d digits"
+# text is input: "1/0" is a malformed number, not arithmetic
+_ZERO_DENOMINATOR = "zero denominator in %r"
 
 
 def _ratio(x):
@@ -91,20 +97,7 @@ def _ratio(x):
         return x, 1
     if isinstance(x, str):
         m = _RATIO.fullmatch(x)
-        try:
-            p, q = (int(m[1]), int(m[2] or 1)) if m else _fraction_text(x)
-        except ValueError as exc:
-            # int() refuses text past sys.get_int_max_str_digits() with
-            # advice about the interpreter; say what is wrong with the input
-            if not str(exc).startswith("Exceeds the limit"):
-                raise
-            raise ValueError("number has more than %d digits"
-                             % sys.get_int_max_str_digits()) from None
-        if not q:
-            # text is input: "1/0" is a malformed number, not arithmetic
-            raise ValueError("zero denominator in %r" % x)
-        g = gcd(p, q)
-        return p // g, q // g
+        return _digit_ratio(m[1], m[2]) if m else _fraction_text(x)
     # the Fraction test comes last: an ABCMeta isinstance test is slow to fail
     if isinstance(x, int):
         return int(x), 1
@@ -113,10 +106,29 @@ def _ratio(x):
     raise TypeError("expected an exact rational, got %r" % (x,))
 
 
+def _digit_ratio(p, q):
+    """(p, q), q > 0, in lowest terms: the rational "p/q" ("p" when q is
+    None) of ASCII digit strings, p with an optional sign.  The one reader
+    of such text: _ratio hands it the groups of _RATIO, and the tokenizer
+    of expr_io those of its own scan."""
+    try:
+        a = int(p)
+        if q is None:
+            return a, 1
+        b = int(q)
+    except ValueError:
+        # the digits are valid, so only their number can be refused
+        raise ValueError(_TOO_LONG % sys.get_int_max_str_digits()) from None
+    if not b:
+        raise ValueError(_ZERO_DENOMINATOR % (p + "/" + q))
+    g = gcd(a, b)
+    return a // g, b // g
+
+
 def _fraction_text(x):
-    """(p, q) of number text other than "p" and "p/q" (decimals, exponents,
-    "_", non-ASCII digits) by Fraction's parser; q is 0 for a zero
-    denominator."""
+    """(p, q), q > 0, in lowest terms, of number text other than "p" and
+    "p/q" (decimals, exponents, "_", non-ASCII digits) by Fraction's
+    parser."""
     m = _EXPONENT.search(x)
     if m:
         digits = m.group(1).replace("_", "")
@@ -125,9 +137,10 @@ def _fraction_text(x):
     try:
         f = Fraction(x)
     except ZeroDivisionError:
-        return 1, 0
+        raise ValueError(_ZERO_DENOMINATOR % x) from None
     except ValueError as exc:
-        # text past the digit limit goes on to _ratio, which names it;
+        if str(exc).startswith("Exceeds the limit"):
+            raise ValueError(_TOO_LONG % sys.get_int_max_str_digits()) from None
         # any other text Fraction refuses is not a number
         if not str(exc).startswith("Invalid literal"):
             raise
@@ -417,6 +430,9 @@ def as_scalar_or_none(x):
     return None
 
 
+# the forms Scalar.token writes, "p/q", "p/qi" and "a+bi" with each part
+# "p" or "p/q" in ASCII digits, in one anchored match
+_TOKEN_FORM = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?(?:([-+][0-9]+)(?:/([0-9]+))?i|(i))?")
 # an "a+bi" body splits at its last sign that follows neither another
 # sign nor an exponent's "e"
 _PARTS = re.compile(r"(.*[^-+/.eE])([-+].*)", re.DOTALL)
@@ -425,6 +441,15 @@ _UNIT = {"": (1, 1), "+": (1, 1), "-": (-1, 1)}
 
 def parse_scalar(text):
     """Inverse of Scalar.token: "3", "-1/2", "2i", "-i", "1-3/4i"."""
+    m = _TOKEN_FORM.fullmatch(text)
+    if m:
+        p, q, r, s, unit = m.groups()
+        if r is not None:
+            # the imaginary part is read first, as below
+            im = _digit_ratio(r, s)
+            return _mk(*_gaussian(_digit_ratio(p, q), im))
+        a, d = _digit_ratio(p, q)
+        return _mk(0, a, d) if unit else _mk(a, 0, d)
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar token")
@@ -547,6 +572,10 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s)" % (", ".join(c.token() for c in self.coeffs))
+
+
+# the zero polynomial, shared: no Poly changes after construction
+_NO_POLY = Poly()
 
 
 def as_poly(p):
@@ -802,7 +831,11 @@ def heaviside(point=0, n=0):
 
 def delta_dist(point=0, order=0, coeff=1, n=None):
     d = DeltaTerm(point, order, coeff)
-    return _build(_index(order if n is None else n), [d.point], [Poly(), Poly()], [d])
+    n = _index(order if n is None else n)
+    if d.coeff and d.order <= n:
+        # one nonzero delta within the index is canonical as it stands
+        return _canonical(n, (d.point,), (_NO_POLY, _NO_POLY), (d,))
+    return _build(n, [d.point], [_NO_POLY, _NO_POLY], [d])
 
 
 def indicator(lo, hi, poly=1, n=0):
@@ -811,13 +844,16 @@ def indicator(lo, hi, poly=1, n=0):
     pts, pieces = [], []
     if lo is not None:
         pts.append(as_point(lo))
-        pieces.append(Poly())
+        pieces.append(_NO_POLY)
     pieces.append(p)
     if hi is not None:
         pts.append(as_point(hi))
-        pieces.append(Poly())
+        pieces.append(_NO_POLY)
     if len(pts) == 2 and not pts[0] < pts[1]:
         raise AlgebraError("empty interval (%s, %s)" % (lo, hi))
+    if p.coeffs:
+        # a nonzero piece between zero pieces is canonical as it stands
+        return _canonical(_index(n), tuple(pts), tuple(pieces), ())
     return _build(_index(n), pts, pieces, ())
 
 
@@ -833,22 +869,49 @@ def _joint(F, G):
 
 
 def add(F, *more):
-    """The sum of one or more distributions.
+    """The sum of one or more distributions: one merge of all their
+    breakpoints and one build.
 
-    Summands add in pairs, and the sums in pairs again: each sum then
-    merges parts of similar size, where a running sum would rebuild the
-    whole of it once per summand.
+    Each nonzero piece adds into the merged intervals it covers: straight
+    into each when it covers at most three, else in at its first interval
+    and out after its last, spread by one running sum.  So the Poly work
+    is linear in the pieces and the intervals, where adding a wide piece
+    into each of its intervals would be quadratic in a sum of many.
     """
+    if not more:
+        return F
     terms = (F,) + more
-    while len(terms) > 1:
-        pairs = tuple(_add_two(a, b) for a, b in zip(terms[::2], terms[1::2]))
-        terms = pairs + terms[2 * len(pairs):]
-    return terms[0]
-
-
-def _add_two(F, G):
-    n, pts, fs, gs = _joint(F, G)
-    return _build(n, pts, [a + b for a, b in zip(fs, gs)], F.deltas + G.deltas)
+    # each run is sorted: sorting them together merges them
+    pts = [p for p, _ in groupby(sorted([p for G in terms for p in G.breakpoints]))]
+    m = len(pts)
+    sums = [_NO_POLY] * (m + 1)
+    edges = None
+    for G in terms:
+        # piece k of G covers the intervals start, ..., stop - 1
+        start, bps = 0, G.breakpoints
+        for k, piece in enumerate(G.pieces):
+            stop = bisect_left(pts, bps[k], start) + 1 if k < len(bps) else m + 1
+            if piece.coeffs and stop - start <= 3:
+                # three additions cost about what a wide piece's two ends
+                # and its share of the running sum cost
+                for i in range(start, stop):
+                    sums[i] = sums[i] + piece
+            elif piece.coeffs:
+                if edges is None:
+                    edges = [_NO_POLY] * (m + 1)
+                edges[start] = edges[start] + piece
+                if stop <= m:
+                    edges[stop] = edges[stop] - piece
+            start = stop
+    if edges is not None:
+        run = _NO_POLY
+        for i, edge in enumerate(edges):
+            if edge.coeffs:
+                run = run + edge
+            if run.coeffs:
+                sums[i] = sums[i] + run
+    return _build(max(G.n for G in terms), pts, sums,
+                  [d for G in terms for d in G.deltas])
 
 
 def _canonical(n, breakpoints, pieces, deltas):

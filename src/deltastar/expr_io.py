@@ -28,19 +28,21 @@ grammar.  "3/4i" means (3/4)i.
 
 One regular-expression scan splits the text into tokens, each match a
 token with the whitespace before it; a number token carries its Scalar,
-so each number is read once.  The terms of a sum are added by one add of
-all of them.  Syntax errors raise ExprError carrying the character
-offset (equal to the byte offset for this ASCII grammar) and the set of
-expected tokens.  Every ValueError of the layer below (a malformed
+so each number is read once, and the scan captures the digits of "p",
+"p/q", "pi" and "p/qi", which go straight to ints (other number text,
+decimals and non-ASCII digits, goes through Scalar).  The terms of a sum
+are added by one add of all of them.  Syntax errors raise ExprError
+carrying the character offset (equal to the byte offset for this ASCII
+grammar) and the set of expected tokens.  Every ValueError of the layer below (a malformed
 number, an AlgebraError of star, derivative, indicator or the regularity
 cap) goes through one translator, _read, into an ExprError at the offset
 of the construct that raised it.
 
 The record codec is line-oriented: a header line, one "key value..."
-line per field or row, and "end", with scalars in Scalar.token() form.
-A distribution has its own layout; one table maps the header of each
-of the seven other kinds to its class and layout, and an object's exact
-type decides its kind.  Fields go in declaration order (SeparatingSA's
+line per field or row, and "end", with scalars in Scalar.token() form,
+which parse_scalar reads by one anchored match.  A distribution has its
+own layout; one table maps the header of each of the seven other kinds
+to its class and layout, and an object's exact type decides its kind.  Fields go in declaration order (SeparatingSA's
 a_minus... are keyed a-, b-, a+, b+).  A zero denominator in any number
 is an ExprError.  encode() output is byte-stable; decode(encode(x)) == x.
 """
@@ -58,6 +60,8 @@ from .dist_core import (
     Poly,
     PreconditionError,
     Scalar,
+    _digit_ratio,
+    _mk,
     _ratio_token,
     add,
     as_point,
@@ -89,9 +93,13 @@ class ExprError(ValueError):
 
 # each match is a token with the whitespace before it; every other
 # character is at worst "bad", so the matches tile the text up to any
-# trailing whitespace
+# trailing whitespace.  A "ratio" is a "num" of ASCII digits "p", "p/q",
+# "pi" or "p/qi" with its digits captured; the look-ahead refuses a
+# shorter match than "num" would make ("1" of "12.5", "0" of "0i0"), which
+# then goes to "num" whole
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:/\d+)?i?)|(?P<name>[A-Za-z_]+)"
+    r"\s*(?:(?P<ratio>(?P<p>[0-9]+)(?:/(?P<q>[0-9]+))?(?P<i>i)?)(?![\d./i])"
+    r"|(?P<num>\d+(?:\.\d+)?(?:/\d+)?i?)|(?P<name>[A-Za-z_]+)"
     r"|(?P<op>[()+\-*^,:'])|(?P<bad>\S))"
 )
 _IMAGINARY_UNIT = Scalar(0, 1)
@@ -111,7 +119,13 @@ def _tokenize(text):
     toks = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        word, pos = m.group(kind), m.start(kind)
+        pos = m.start(kind)
+        if kind == "ratio":
+            p, q, i = m.group("p", "q", "i")
+            a, d = _read(pos, _digit_ratio, p, q)
+            toks.append(("imag", _mk(0, a, d), pos) if i else ("num", _mk(a, 0, d), pos))
+            continue
+        word = m.group(kind)
         if kind == "num":
             if word[-1] == "i":
                 toks.append(("imag", _read(pos, Scalar, 0, word[:-1]), pos))
@@ -301,7 +315,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] in ("num", "imag"):
             self.next()
-            coeff = tok[1] * sign
+            coeff = -tok[1] if sign < 0 else tok[1]
             if self.peek()[0] == "*" and self.toks[self.k + 1][:2] == ("name", "x"):
                 # "2*x": the "*" belongs to the monomial, not an enclosing
                 # product, exactly when x follows
@@ -318,7 +332,8 @@ class _Parser:
             if self.peek()[0] == "^":
                 self.next()
                 deg = self.int_value()
-        coeffs[deg] = coeffs.get(deg, Scalar(0)) + coeff
+        old = coeffs.get(deg)
+        coeffs[deg] = coeff if old is None else old + coeff
 
 
 def _dist(x):
@@ -543,7 +558,7 @@ def _natural(word):
 
 
 def _scalar_list(vals, off):
-    return [_read(off, parse_scalar, v) for v in vals]
+    return _read(off, list, map(parse_scalar, vals))
 
 
 def decode(text):

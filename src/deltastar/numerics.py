@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 
 from .boundary_ops import (
     PreconditionError,
@@ -359,12 +360,20 @@ def bound_states(bc):
         disc = p * p - 4 * q
         kappas = [-p / 2] if disc == 0 else []
         if disc > 0:
-            s = -(float(p) + math.copysign(math.sqrt(disc), p)) / 2
+            root = math.sqrt(disc)
+            if not root:
+                # disc is below the float range: its root, from disc times
+                # an even power of two, 4**e, that brings it into range
+                a, b = disc.numerator, disc.denominator
+                e = (b.bit_length() - a.bit_length()) // 2 + 1
+                root = math.ldexp(math.sqrt((a << 2 * e) / b), -e)
+            s = -(float(p) + math.copysign(root, p)) / 2
             if not s:
                 # both roots are below 1e-161, so each energy rounds to -0.0;
                 # count the positive ones from their product q and sum -p
                 return [-0.0] * (1 if q < 0 else (p < 0) * (1 + (q > 0)))
-            kappas = [s, float(q) / s]
+            # q below the float range would make the small root 0.0
+            kappas = [s, float(q) / s if float(q) else float(q / Fraction(s))]
     return sorted(float(-x ** 2) for x in kappas if x > 0)
 
 

@@ -192,22 +192,30 @@ def test_long_sum_parses_fast(monkeypatch):
         assert done.returncode == 0, done.stderr
         assert done.stdout == " + ".join(want).replace(" 1*x", " x") + "\n"
     # the same sums without a clock: the parts handed to the canonical
-    # builder grow as N log N (a ratio of ~4.7 from 1 000 to 4 000 terms);
-    # a running sum would hand it ~N^2 / 2 (a ratio of ~16)
-    build, parts = dist_core._build, [0]
+    # builder, and the Poly additions, grow as N log N at most (a ratio of
+    # ~4.7 from 1 000 to 4 000 terms); a running sum would hand the builder
+    # ~N^2 / 2 parts, and adding each wide piece into every interval it
+    # covers would take ~N^2 / 2 additions (a ratio of ~16)
+    build, plus, parts, adds = dist_core._build, dist_core.Poly.__add__, [0], [0]
 
     def counting(n, pts, ps, deltas, F=None):
         parts[0] += len(pts) + len(ps) + len(deltas)
         return build(n, pts, ps, deltas, F)
 
+    def counting_plus(p, q):
+        adds[0] += 1
+        return plus(p, q)
+
     monkeypatch.setattr(dist_core, "_build", counting)
+    monkeypatch.setattr(dist_core.Poly, "__add__", counting_plus)
     for term in terms:
         counts = []
         for size in (1000, 4000):
-            parts[0] = 0
+            parts[0] = adds[0] = 0
             parse_dist("+".join(term % k for k in range(size)))
-            counts.append(parts[0])
-        assert counts[1] <= 6 * counts[0], (term, counts)
+            counts.append((parts[0], adds[0]))
+        for before, after in zip(*counts):
+            assert after <= 6 * before, (term, counts)
 
 
 def test_represent_interacting_round_trip(capsys):

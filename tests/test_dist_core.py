@@ -540,6 +540,36 @@ def _fields(F):
     )
 
 
+def _fields_or_error(build):
+    try:
+        return _fields(build())
+    except RegularityError as exc:
+        return str(exc)
+
+
+def test_atoms_are_the_constructor_of_their_raw_parts():
+    # indicator, heaviside and delta_dist skip the builder where their
+    # parts are canonical as they stand; with zero and nonzero parts they
+    # give the constructor's object, or its error, all the same
+    half = Fraction(1, 2)
+    for p in (Poly(), Poly([2]), Poly([0, half, Scalar(0, -1)])):
+        for n in (0, 2):
+            for lo, hi in ((None, None), (-1, None), (None, half), (-1, half)):
+                pts = [b for b in (lo, hi) if b is not None]
+                pieces = [Poly()] * (lo is not None) + [p] + [Poly()] * (hi is not None)
+                assert _fields(indicator(lo, hi, p, n)) == _fields(
+                    PiecewiseDist(n, pts, pieces)), (p, n, lo, hi)
+    for n in (0, 2):
+        assert _fields(heaviside(-half, n)) == _fields(PiecewiseDist(n, [-half], [0, 1]))
+    for coeff in (0, 3, Scalar(half, -2)):
+        for order, n in ((0, None), (2, None), (1, 1), (1, 2), (2, 1)):
+            want = _fields_or_error(lambda: PiecewiseDist(
+                order if n is None else n, [half], None, [(half, order, coeff)]))
+            assert _fields_or_error(lambda: delta_dist(half, order, coeff, n)) == want
+            # a nonzero delta above the index is refused
+            assert isinstance(want, str) == bool(coeff and n == 1 and order == 2)
+
+
 _summands = st.lists(st.tuples(st.integers(0, 2 ** 32 - 1), st.booleans()),
                      min_size=1, max_size=7)
 

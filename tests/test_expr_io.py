@@ -230,7 +230,8 @@ def test_tokenizer_matches_the_reference_on_spaced_format_texts():
             chars.insert(k, "".join(rng.choice(" \t\n") for _ in range(rng.randint(1, 3))))
         _assert_tokens_match_the_reference("".join(chars))
     for text in ("1/0", "0/38.4", "1/2/3", "7" * 5000, "7" * 5000 + "i",
-                 "1/" + "3" * 5000, "0.5i", "٣/٤i", " \t\n", ""):
+                 "1/" + "3" * 5000, "1/" + "0" * 5000, "0.5i", "٣/٤i", " \t\n", "",
+                 "007/0010i", "1/00", "12.5", "0i0", "1/2.5", "2ii"):
         _assert_tokens_match_the_reference(text)
     assert isinstance(_assert_tokens_match_the_reference("1/0"), tuple)
     assert _assert_tokens_match_the_reference("0/38.4")[1] == 4
@@ -440,3 +441,37 @@ def test_codec_rejects_malformed_records():
             decode(bad)
         assert info.value.pos == pos
         assert str(info.value) == "%s at offset %d" % (message, pos)
+
+
+def test_decode_reads_words_token_does_not_write():
+    # in a piece, a delta coefficient and a record field alike, the value
+    # of a scalar word is parse_scalar's, and a word it refuses is an
+    # ExprError at the offset of its line
+    records = (
+        ("dist\nn 0\nbreakpoints\npiece 1 %s\nend\n", lambda F: F.pieces[0].coeffs[1], 21),
+        ("dist\nn 0\nbreakpoints 0\npiece\npiece\ndelta 0 0 %s\nend\n",
+         lambda F: F.deltas[0].coeff, 35),
+        ("opspec potential\nc1 1\nc2 %s\nb1 0\nb2 0\nend\n", lambda spec: spec.c2, 22),
+    )
+    half = Fraction(1, 2)
+    for word, want in (("-6/4", Scalar(-3 * half)), ("2/4+0/3i", Scalar(half)),
+                       ("0.5", Scalar(half)), ("1e-3", Scalar(Fraction(1, 1000))),
+                       ("+3", Scalar(3)), ("007/0010i", Scalar(0, Fraction(7, 10)))):
+        assert parse_scalar(word) == want, word
+        for text, read, _ in records:
+            assert read(decode(text % word)) == want, (word, text)
+    for word, message in (
+        ("1/0", "zero denominator in '1/0'"),
+        ("1/0i", "zero denominator in '1/0'"),
+        ("0/0+1/0i", "zero denominator in '+1/0'"),  # the imaginary part first
+        ("1.5/2", "malformed number '1.5/2'"),
+        ("7" * 5000 + "/3", "number has more than 4300 digits"),
+    ):
+        with pytest.raises(ValueError) as info:
+            parse_scalar(word)
+        assert str(info.value) == message
+        for text, _, pos in records:
+            with pytest.raises(ExprError) as info:
+                decode(text % word)
+            assert (str(info.value), info.value.pos) == (
+                "%s at offset %d" % (message, pos), pos), (word, text)

@@ -368,6 +368,18 @@ def test_bound_states_below_the_float_range():
         assert all(math.copysign(1, e) == -1 for e in E)
 
 
+def test_bound_states_when_the_product_or_the_discriminant_underflows():
+    # kappa = a and kappa = b, as above, with the product q = a b of the
+    # roots below the float range: the small root is q / s, exactly.  With
+    # a = 3e-200 and b = 1e-200 the discriminant (a - b)^2 underflows too,
+    # and its root comes from the exact rational
+    for a, b, want in ((Fraction(3, 10 ** 200), Fraction(1, 10 ** 200), [-0.0, -0.0]),
+                       (Fraction(3, 10 ** 130), Fraction(1, 10 ** 200), [-9e-260, -0.0])):
+        E = bound_states(BCMatrix([[-a, 0, 1, 0], [0, b, 0, 1]]))
+        assert E == want, (a, b)
+        assert all(math.copysign(1, e) == -1 for e in E)
+
+
 def test_complex_rows_bound_state():
     # psi'(0-) = psi(0-) and psi'(0+) = -i psi(0+): the determinant
     # (kappa - 1)(i - kappa) has non-real coefficients; the root of its
