@@ -873,7 +873,7 @@ def add(F, *more):
     breakpoints and one build.
 
     Each nonzero piece adds into the merged intervals it covers: straight
-    into each when it covers at most three, else in at its first interval
+    into each when it covers at most eight, else in at its first interval
     and out after its last, spread by one running sum.  So the Poly work
     is linear in the pieces and the intervals, where adding a wide piece
     into each of its intervals would be quadratic in a sum of many.
@@ -891,9 +891,9 @@ def add(F, *more):
         start, bps = 0, G.breakpoints
         for k, piece in enumerate(G.pieces):
             stop = bisect_left(pts, bps[k], start) + 1 if k < len(bps) else m + 1
-            if piece.coeffs and stop - start <= 3:
-                # three additions cost about what a wide piece's two ends
-                # and its share of the running sum cost
+            if piece.coeffs and stop - start <= 8:
+                # the running sum pays off only where many wide pieces
+                # overlap, which a piece over few intervals rarely meets
                 for i in range(start, stop):
                     sums[i] = sums[i] + piece
             elif piece.coeffs:

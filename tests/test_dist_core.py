@@ -595,6 +595,28 @@ def test_add_of_many_is_the_fold_of_add(summands):
     assert _fields(parse_dist(text)) == _fields(functools.reduce(add, terms))
 
 
+def test_add_of_wide_pieces_is_the_sum_over_each_interval():
+    # 9 to 16 summands with pieces over many merged intervals, which add
+    # goes through its running sum; the reference adds each piece into
+    # every merged interval it covers, and the constructor builds the sum
+    rng = random.Random(2808)
+    for _ in range(30):
+        Fs = []
+        for _ in range(rng.randint(9, 16)):
+            lo = Fraction(rng.randint(-12, 12), rng.choice((1, 2)))
+            lo, hi = rng.choice(((lo, None), (None, lo), (lo, lo + rng.randint(1, 12))))
+            F = indicator(lo, hi, rand_poly(rng), rng.randint(0, 2))
+            if rng.random() < 0.3:
+                F = add(F, delta_dist(rng.randint(-6, 6), rng.randint(0, 2), rand_scalar(rng)))
+            Fs.append(F)
+        Fs += [scale(-1, F) for F in rng.sample(Fs, 3)]
+        pts = sorted({p for F in Fs for p in F.breakpoints})
+        pieces = [functools.reduce(operator.add, col)
+                  for col in zip(*(F.pieces_over(pts) for F in Fs))]
+        want = PiecewiseDist(max(F.n for F in Fs), pts, pieces, [d for F in Fs for d in F.deltas])
+        assert _fields(add(*Fs)) == _fields(want)
+
+
 def test_the_exact_path_hashes_no_scalar(monkeypatch):
     # canonical form is built from the order of points, never their hash
     def refuse(self):
