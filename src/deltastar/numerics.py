@@ -8,9 +8,9 @@ Three independent checks live here:
 * scattering and bound states of a rank-2 boundary condition, read off
   quadratics in kappa whose coefficients are the minors of the rows over
   their common denominator, as Gaussian integers: the determinant D(kappa)
-  of the rows on decaying jets, with its positive roots, and the Cramer
-  numerators, evaluated with D at kappa = -ik in integers, so that each
-  float of an amplitude is one correctly rounded integer division;
+  of the rows on decaying jets, whose positive roots give the energies,
+  and the Cramer numerators, evaluated with D at kappa = -ik; each float
+  of an energy or an amplitude is the exact value correctly rounded;
 * a Dirichlet finite-difference Hamiltonian on [-L, L] whose low
   eigenvalues can be compared against the bound-state energies of the
   operator the regularized potential approximates.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 
 from .boundary_ops import (
     PreconditionError,
@@ -32,7 +31,7 @@ from .boundary_ops import (
     SidedDelta,
     apply_shifting_delta_dist,
 )
-from .dist_core import Scalar, as_poly, gaussian_integers, pair_polynomial_test
+from .dist_core import as_poly, gaussian_integers, pair_polynomial_test
 from .schrodinger import extract_bc, minors
 
 
@@ -333,48 +332,49 @@ def scattering(bc, k):
     return ScatteringData(k, *amps)
 
 
-def bound_states(bc):
-    """Negative-energy eigenvalues E = -kappa^2, ascending.
+def _rounded(a, b, n, c):
+    """(a + b sqrt(n)) / c, c > 0, rounded once: sqrt(n) 2^g is bracketed by
+    r = isqrt(n << 2g) and r + 1, and g doubles until both ends, two int
+    divisions that Python rounds correctly, round alike.  The lower end is
+    returned, since -0.0 == 0.0 and an energy that rounds to zero is -0.0."""
+    r = math.isqrt(n)
+    if r * r == n:
+        return (a + b * r) / c
+    g = 64
+    while True:
+        x = (a << g) + b * math.isqrt(n << 2 * g)
+        lo, hi = (y / (c << g) for y in sorted((x, x + b)))
+        if lo == hi:
+            return lo
+        g *= 2
 
-    kappa runs over the positive real roots of D (see _spectral_ints),
-    made monic.  With a non-real coefficient the only candidate is the
-    root of the imaginary part, checked exactly; otherwise the real
-    quadratic is solved by the stable formula.
-    """
-    det = _spectral_ints(bc, "bound states need a rank-2 boundary condition")[0]
-    coeffs = [Scalar(x, y) for x, y in det]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    if len(coeffs) < 2:
+
+def bound_states(bc):
+    """Negative-energy eigenvalues E = -kappa^2, ascending, over the positive
+    real roots kappa of D (see _spectral_ints) times the conjugate of its
+    leading coefficient: a2 kappa^2 + a1 kappa + a0 + i (b1 kappa + b0) in
+    ints, a2 > 0.  A non-real D can vanish only at -b0/b1; for a real one
+    E = (2 a2 a0 - a1^2 +- a1 sqrt(disc)) / (2 a2^2), rounded once."""
+    det = list(_spectral_ints(bc, "bound states need a rank-2 boundary condition")[0])
+    while det and det[-1] == (0, 0):
+        det.pop()
+    if len(det) < 2:
         return []  # D is zero or a nonzero constant
-    lead = coeffs.pop()
-    c = [x / lead for x in coeffs]  # D / lead = kappa^n + ... + c[0]
-    if not all(x.is_real for x in c):
-        im = [x.im for x in c]
-        kappas = [-im[0] / im[1]] if len(c) == 2 and im[1] else []
-        kappas = [x for x in kappas if not c[0] + c[1] * x + x * x]
-    elif len(c) == 1:
-        kappas = [-c[0].re]
-    else:
-        q, p = c[0].re, c[1].re
-        disc = p * p - 4 * q
-        kappas = [-p / 2] if disc == 0 else []
-        if disc > 0:
-            root = math.sqrt(disc)
-            if not root:
-                # disc is below the float range: its root, from disc times
-                # an even power of two, 4**e, that brings it into range
-                a, b = disc.numerator, disc.denominator
-                e = (b.bit_length() - a.bit_length()) // 2 + 1
-                root = math.ldexp(math.sqrt((a << 2 * e) / b), -e)
-            s = -(float(p) + math.copysign(root, p)) / 2
-            if not s:
-                # both roots are below 1e-161, so each energy rounds to -0.0;
-                # count the positive ones from their product q and sum -p
-                return [-0.0] * (1 if q < 0 else (p < 0) * (1 + (q > 0)))
-            # q below the float range would make the small root 0.0
-            kappas = [s, float(q) / s if float(q) else float(q / Fraction(s))]
-    return sorted(float(-x ** 2) for x in kappas if x > 0)
+    u, v = det.pop()
+    a2 = u * u + v * v
+    (a0, b0), *rest = [(x * u + y * v, y * u - x * v) for x, y in det]
+    if not rest:  # a2 kappa + a0 + i b0
+        return [-(a0 * a0) / (a2 * a2)] if a0 < 0 and not b0 else []
+    ((a1, b1),) = rest
+    if b0 or b1:
+        real = a2 * b0 * b0 - a1 * b0 * b1 + a0 * b1 * b1 == 0
+        return [-(b0 * b0) / (b1 * b1)] if real and b0 * b1 < 0 else []
+    disc = a1 * a1 - 4 * a2 * a0
+    # with disc >= 0, the larger root is positive if the product a0 / a2 of
+    # the roots is negative or their sum -a1 / a2 positive, the smaller (if
+    # distinct) if the product and the sum are both positive
+    signs = [1] * (a0 < 0 or a1 < 0 <= disc) + [-1] * (a0 > 0 > a1 and disc > 0)
+    return [_rounded(2 * a2 * a0 - a1 * a1, s * a1, disc, 2 * a2 * a2) for s in signs]
 
 
 # --------------------------------------------------------------------------

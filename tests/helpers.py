@@ -6,9 +6,11 @@ coefficients are exact rationals (optionally with an imaginary
 part) so all comparisons downstream stay exact.  Two helpers are
 references sharing no code with what they check: ``self_adjoint_by_definition``
 for ``classify``, and the float ``even_ground_state`` for the grid
-Hamiltonian.  ``scattering_by_polys`` and ``bound_states_by_polys`` redo
-``numerics.scattering`` and ``numerics.bound_states`` from the same minors
-in exact ``Poly`` and ``Scalar`` arithmetic, rounding once at the end.
+Hamiltonian.  ``scattering_by_polys`` redoes ``numerics.scattering`` from
+the same minors in exact ``Poly`` and ``Scalar`` arithmetic, rounding once
+at the end; ``exact_bound_energies`` gives the exact energies behind
+``numerics.bound_states`` from the same ``Poly``, and ``correctly_rounded``
+checks a float against one of them without taking a square root.
 ``reference_tokens`` is the expression tokenizer as one match per token
 or run of whitespace, every number read by ``Scalar`` from its text.
 """
@@ -16,6 +18,7 @@ or run of whitespace, every number read by ``Scalar`` from its text.
 import math
 import random
 import re
+import struct
 from fractions import Fraction
 
 from scipy.integrate import solve_ivp
@@ -223,8 +226,28 @@ def scattering_by_polys(bc, k):
     return ScatteringData(k, *(complex(n.eval(kappa) / det) for n in nums))
 
 
-def bound_states_by_polys(bc):
-    """numerics.bound_states, with D the exact Poly of the minors."""
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _surd_sign(a, b, d):
+    """Sign of a + b sqrt(d) for rationals a, b and d >= 0, by squaring."""
+    sa, sb = _sign(a), _sign(b) * (d > 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa * _sign(a * a - b * b * d)
+
+
+def exact_bound_energies(bc):
+    """The energies -kappa^2 of numerics.bound_states, exact and ascending.
+
+    kappa runs over the positive real roots of the Poly D of spectral_polys,
+    made monic: kappa^2 + p kappa + q (or kappa + q) with Scalar p and q.
+    With a non-real p or q only the root of the imaginary part can be real,
+    and D is evaluated there.  A real quadratic's roots are
+    (-p +- sqrt(disc)) / 2, each kept by the sign of that surd.  Each
+    energy is a triple (a, b, d) of rationals, the value a + b sqrt(d).
+    """
     D = spectral_polys(bc, "bound states need a rank-2 boundary condition")[0]
     coeffs = list(D.coeffs)
     if len(coeffs) < 2:
@@ -232,19 +255,39 @@ def bound_states_by_polys(bc):
     lead = coeffs.pop()
     c = [x / lead for x in coeffs]
     if not all(x.is_real for x in c):
-        im = [x.im for x in c]
-        kappas = [-im[0] / im[1]] if len(c) == 2 and im[1] else []
-        kappas = [x for x in kappas if not D.eval(x)]
-    elif len(c) == 1:
-        kappas = [-c[0].re]
-    else:
-        q, p = c[0].re, c[1].re
-        disc = p * p - 4 * q
-        kappas = [-p / 2] if disc == 0 else []
-        if disc > 0:
-            s = -(float(p) + math.copysign(math.sqrt(disc), p)) / 2
-            kappas = [s, float(q) / s]
-    return sorted(float(-x ** 2) for x in kappas if x > 0)
+        if len(c) < 2 or not c[1].im:
+            return []
+        kappa = -c[0].im / c[1].im
+        return [(-kappa * kappa, 0, 0)] if kappa > 0 and not D.eval(kappa) else []
+    if len(c) == 1:
+        kappa = -c[0].re
+        return [(-kappa * kappa, 0, 0)] if kappa > 0 else []
+    q, p = c[0].re, c[1].re
+    disc = p * p - 4 * q
+    if disc < 0:
+        return []
+    signs = [s for s in ((1, -1) if disc else (1,)) if _surd_sign(-p, s, disc) > 0]
+    # kappa^2 = (p^2 + disc - 2 s p sqrt(disc)) / 4
+    return [(-(p * p + disc) / 4, s * p / 2, disc) for s in signs]
+
+
+def correctly_rounded(x, energy):
+    """Whether the float x is the negative surd energy (a, b, d) of
+    exact_bound_energies rounded to nearest, ties to even, sign bit included.
+
+    The energy must lie between the midpoints from x to its math.nextafter
+    neighbours; below the largest float's negative, the gap mirrors the
+    one above.  No square root is taken: surds are compared by squaring.
+    """
+    a, b, d = energy
+    f = Fraction(x)
+    down, up = (math.nextafter(x, t) for t in (-math.inf, math.inf))
+    gap_down = f - Fraction(down) if down > -math.inf else Fraction(up) - f
+    below = _surd_sign(a - f + gap_down / 2, b, d)  # energy - lower midpoint
+    above = _surd_sign(a - f - (Fraction(up) - f) / 2, b, d)
+    even = not struct.unpack("<q", struct.pack("<d", x))[0] & 1
+    return (math.copysign(1.0, x) < 0 and below >= 0 >= above
+            and (even or (below and above)))
 
 
 def even_ground_state(potential, a):

@@ -395,9 +395,20 @@ def test_spectrum_of_roots_below_the_float_range(capsys):
     assert out.splitlines() == ["source,index,energy", "bound,0,-0", "bound,1,-0"]
 
 
+def test_spectrum_of_coefficients_past_the_float_range(capsys):
+    # kappa = 1 beside a row holding 1e400, and kappa = 1e154, whose energy
+    # -1e308 is a float: no coefficient of D has to be one
+    for bc, want in (("1e400,0,1,0;0,1,0,1", "bound,0,-1"),
+                     ("-1e154,0,1,0;0,-1e154,0,1", "bound,0,-1e+308")):
+        rc, out, err = run(capsys, "spectrum", "--bc=" + bc)
+        assert (rc, err) == (0, "")
+        assert out.splitlines() == ["source,index,energy", want]
+
+
 def test_values_past_the_float_range_exit_3(capsys):
-    # the energy -2.5e399 has no float; an infinite N has no int
+    # the energies -2.5e399 and -1e800 have no float; an infinite N has no int
     for argv in (["spectrum", "--delta=-1e200"],
+                 ["spectrum", "--bc=-1e400,0,1,0;0,1,0,1"],
                  ["spectrum", "--delta", "-2", "--grid", "0.05,20,inf"]):
         rc, out, err = run(capsys, *argv)
         assert rc == 3 and out == ""

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from deltastar import Poly, Scalar, add, delta_dist, heaviside, indicator, numerics
-from deltastar.boundary_ops import PreconditionError
+from deltastar.boundary_ops import PreconditionError, PseudoPotential
 from deltastar.numerics import (
     _BUMP_NORM,
     _TS_TOL,
@@ -45,7 +45,8 @@ from deltastar.schrodinger import (
     represent_from_bc,
 )
 from helpers import (
-    bound_states_by_polys,
+    correctly_rounded,
+    exact_bound_energies,
     oracle_corpus,
     rand_frac,
     rand_scalar,
@@ -380,6 +381,16 @@ def test_bound_states_when_the_product_or_the_discriminant_underflows():
         assert all(math.copysign(1, e) == -1 for e in E)
 
 
+def test_a_root_below_the_float_range_beside_one_inside_it():
+    # D = 1 - 2e400 kappa + 1e400 kappa^2 has kappa near 2 and 5e-401, and
+    # D = 1 - 1e170 kappa + 1e160 kappa^2 near 1e10 and 1e-170: each small
+    # energy rounds to -0.0.  In the second its surd cancels so far that
+    # the bracket of the root puts one end on each side of zero
+    for s, p, big in ((2 * 10 ** 400, 10 ** 400, -4.0), (10 ** 170, 10 ** 160, -1e20)):
+        E = bound_states(BCMatrix([[1, 0, 0, 1], [0, 1, p, s]]))
+        assert E == [big, -0.0] and math.copysign(1, E[1]) == -1, (s, p)
+
+
 def test_complex_rows_bound_state():
     # psi'(0-) = psi(0-) and psi'(0+) = -i psi(0+): the determinant
     # (kappa - 1)(i - kappa) has non-real coefficients; the root of its
@@ -492,10 +503,53 @@ def test_scattering_takes_any_exact_real_wavenumber():
 
 
 def test_bound_states_match_the_polynomial_reference():
+    # each energy is the exact -kappa^2 of a positive root of the Poly D,
+    # correctly rounded, its sign bit set also where it rounds to zero.
+    # Real integer rows give the real quadratics whose roots are surds
     specs = oracle_corpus() + _seeded_specs(random.Random(2002), 400)
+    rng = random.Random(2004)
+    specs += [BCMatrix([[rng.randint(-1000, 1000) for _ in range(4)] for _ in range(2)])
+              for _ in range(300)]
+    specs.append(BCMatrix([[1, 0, 0, 1], [0, 1, 1, 2]]))  # D = (1 - kappa)^2
+    surds = 0
     for spec in specs:
-        got = _outcome_or_error(bound_states, spec)
-        assert got == _outcome_or_error(bound_states_by_polys, spec), spec
+        try:
+            want = exact_bound_energies(spec)
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+                bound_states(spec)
+            continue
+        got = bound_states(spec)
+        assert len(got) == len(want), spec
+        assert all(map(correctly_rounded, got, want)), (spec, got)
+        surds += sum(b != 0 for _, b, _ in want)
+    assert surds > 200
+
+
+def test_bound_states_where_the_float_formula_misrounded():
+    # the float quadratic formula gave -0.17276513474746988, -4.392647998261772,
+    # -20.823534652867252, -8.249843678088324e-05 and -19.615411982286016,
+    # -0.04028074748078989, off by up to 2 ulps
+    i = Scalar(0, 1)
+    third, half, quarter = Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)
+    cases = [
+        (BCMatrix([[1, 0, half, 1], [-2, 1, 0, 3 * quarter]]), [-0.1727651347474699]),
+        (PseudoPotential([2 * third, 2 * third, -2 * third + i, -2 * third + i],
+                         [2 * i, 2 * i, 0, 0], [-1, -1, 0, 0]),
+         [-4.392647998261771]),
+        (PseudoPotential([1, 1, 3 * quarter - i, 3 * quarter - i],
+                         [-2 * i, -2 * i, 0, 0], [-half, -half, 0, 0]),
+         [-20.823534652867256]),
+        (PseudoPotential([3 * half, third, 3, 2], [-3 * half, -2 * third, 0, 0],
+                         [3 * half, -quarter, 0, 0]),
+         [-8.249843678088323e-05]),
+        (PseudoPotential([0, -1, -2 * third, -quarter], [-3 * half, 2 * third, 0, 0],
+                         [-3 * half, -3 * half, 0, 0]),
+         [-19.615411982286012, -0.04028074748078991]),
+    ]
+    for spec, want in cases:
+        assert bound_states(spec) == want, spec
+        assert all(map(correctly_rounded, want, exact_bound_energies(spec)))
 
 
 # -- the determinant, property-based ------------------------------------------------
@@ -503,17 +557,11 @@ def test_bound_states_match_the_polynomial_reference():
 _PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-def _rel_close(got, want, tol=1e-12):
-    return len(got) == len(want) and all(
-        abs(g - w) <= tol * abs(w) for g, w in zip(got, want)
-    )
-
-
 @_PROPS
 @given(a=st.fractions(min_value=Fraction(-10**4), max_value=Fraction(-1, 10**4),
                       max_denominator=10**6))
 def test_delta_well_bound_state_closed_form(a):
-    assert _rel_close(bound_states(delta_well(a)), [float(-a * a / 4)])
+    assert bound_states(delta_well(a)) == [float(-a * a / 4)]
 
 
 @_PROPS
@@ -523,8 +571,7 @@ def test_separated_robin_closed_form(am, ap):
     # psi'(0-) = am psi(0-) and psi'(0+) = -ap psi(0+): each half-line
     # binds -alpha^2 for a positive alpha
     bc = BCMatrix([[-am, 0, 1, 0], [0, ap, 0, 1]])
-    want = sorted({float(-a * a) for a in (am, ap) if a > 0})
-    assert _rel_close(bound_states(bc), want)
+    assert bound_states(bc) == sorted({float(-a * a) for a in (am, ap) if a > 0})
 
 
 _small = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 5))
