@@ -8,7 +8,8 @@ breakpoints with j <= n.  All coefficients are complex numbers with
 rational real and imaginary parts, so every operation in this module is
 exact and equality is decidable.  Points (breakpoints and delta locations)
 are real Scalars, which order and compare by integer arithmetic; canonical
-form is built from their order alone and never hashes them.
+form is built from their order alone and never hashes them.  Text, a
+point's or a coefficient's, is read by one reader, parse_scalar.
 
 Canonical form, built once per result by one builder from typed parts
 (the constructor checks outside input, then calls it; every operation
@@ -81,8 +82,6 @@ class PreconditionError(ValueError):
 # 4300-digit limit for int text, Scalar.token could not print it anyway
 _EXPONENT_CAP = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
-# "p" and "p/q" in ASCII digits, read by int(), not Fraction's text parser
-_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 # int() refuses text past sys.get_int_max_str_digits() with advice about
 # the interpreter; the input is told what is wrong with it instead
 _TOO_LONG = "number has more than %d digits"
@@ -96,8 +95,7 @@ def _ratio(x):
     if type(x) is int:
         return x, 1
     if isinstance(x, str):
-        m = _RATIO.fullmatch(x)
-        return _digit_ratio(m[1], m[2]) if m else _fraction_text(x)
+        return _fraction_text(x)
     # the Fraction test comes last: an ABCMeta isinstance test is slow to fail
     if isinstance(x, int):
         return int(x), 1
@@ -108,9 +106,8 @@ def _ratio(x):
 
 def _digit_ratio(p, q):
     """(p, q), q > 0, in lowest terms: the rational "p/q" ("p" when q is
-    None) of ASCII digit strings, p with an optional sign.  The one reader
-    of such text: _ratio hands it the groups of _RATIO, and the tokenizer
-    of expr_io those of its own scan."""
+    None) of ASCII digit strings, p with an optional sign: the groups of
+    parse_scalar's anchored match."""
     try:
         a = int(p)
         if q is None:
@@ -126,9 +123,8 @@ def _digit_ratio(p, q):
 
 
 def _fraction_text(x):
-    """(p, q), q > 0, in lowest terms, of number text other than "p" and
-    "p/q" (decimals, exponents, "_", non-ASCII digits) by Fraction's
-    parser."""
+    """(p, q), q > 0, in lowest terms, of number text ("3/4", "0.25",
+    "1e-3", "1_000", non-ASCII digits) by Fraction's parser."""
     m = _EXPONENT.search(x)
     if m:
         digits = m.group(1).replace("_", "")
@@ -152,10 +148,10 @@ class Scalar:
     """Complex number with exact rational real and imaginary parts.
 
     Accepts ints, Fractions and strings Fraction understands ("3/4",
-    "0.25") for either part; "p" and "p/q" text is read straight into
-    ints.  Where whole scalars are coerced, strings in the token form
-    ("2i", "1-3/4i") work too.  Arithmetic mixes freely with ints and
-    Fractions; floats are rejected to keep everything exact.
+    "0.25") for either part, read by Fraction's parser.  Where whole
+    scalars are coerced, text is read by parse_scalar, which takes the
+    token form ("2i", "1-3/4i") too.  Arithmetic mixes freely with ints
+    and Fractions; floats are rejected to keep everything exact.
 
     Stored as one Gaussian rational (a + b i) / d of three ints with
     d > 0 and gcd(a, b, d) == 1.  The form is canonical, so equality
@@ -440,7 +436,9 @@ _UNIT = {"": (1, 1), "+": (1, 1), "-": (-1, 1)}
 
 
 def parse_scalar(text):
-    """Inverse of Scalar.token: "3", "-1/2", "2i", "-i", "1-3/4i"."""
+    """Inverse of Scalar.token ("3", "-1/2", "2i", "-i", "1-3/4i"), and the
+    one reader of scalar text: its forms by one anchored match, other text
+    ("0.25", "+3", "1e-3i", non-ASCII digits) by Fraction's parser."""
     m = _TOKEN_FORM.fullmatch(text)
     if m:
         p, q, r, s, unit = m.groups()
@@ -594,14 +592,15 @@ def as_poly(p):
 
 
 def as_point(x):
-    """Exact real location on the line, as a real Scalar."""
-    if type(x) is Scalar:
-        if x._b:
-            raise AlgebraError("point %s is not real" % x.token())
-        return x
-    if isinstance(x, (int, Fraction, str)):
-        return Scalar(x)
-    raise TypeError("points must be exact rationals, got %r" % (x,))
+    """Exact real location on the line, as a real Scalar; text is read by
+    parse_scalar."""
+    if type(x) is not Scalar:
+        if not isinstance(x, (int, Fraction, str)):
+            raise TypeError("points must be exact rationals, got %r" % (x,))
+        x = parse_scalar(x) if isinstance(x, str) else Scalar(x)
+    if x._b:
+        raise AlgebraError("point %s is not real" % x.token())
+    return x
 
 
 class DeltaTerm:

@@ -28,10 +28,9 @@ grammar.  "3/4i" means (3/4)i.
 
 One regular-expression scan splits the text into tokens, each match a
 token with the whitespace before it; a number token carries its Scalar,
-so each number is read once, and the scan captures the digits of "p",
-"p/q", "pi" and "p/qi", which go straight to ints (other number text,
-decimals and non-ASCII digits, goes through Scalar).  The terms of a sum
-are added by one add of all of them.  Syntax errors raise ExprError
+so each number is read once, by parse_scalar, the one reader of scalar
+text that also reads the record words below.  The terms of a sum are
+added by one add of all of them.  Syntax errors raise ExprError
 carrying the character offset (equal to the byte offset for this ASCII
 grammar) and the set of expected tokens.  Every ValueError of the layer below (a malformed
 number, an AlgebraError of star, derivative, indicator or the regularity
@@ -60,8 +59,6 @@ from .dist_core import (
     Poly,
     PreconditionError,
     Scalar,
-    _digit_ratio,
-    _mk,
     _ratio_token,
     add,
     as_point,
@@ -93,13 +90,9 @@ class ExprError(ValueError):
 
 # each match is a token with the whitespace before it; every other
 # character is at worst "bad", so the matches tile the text up to any
-# trailing whitespace.  A "ratio" is a "num" of ASCII digits "p", "p/q",
-# "pi" or "p/qi" with its digits captured; the look-ahead refuses a
-# shorter match than "num" would make ("1" of "12.5", "0" of "0i0"), which
-# then goes to "num" whole
+# trailing whitespace
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ratio>(?P<p>[0-9]+)(?:/(?P<q>[0-9]+))?(?P<i>i)?)(?![\d./i])"
-    r"|(?P<num>\d+(?:\.\d+)?(?:/\d+)?i?)|(?P<name>[A-Za-z_]+)"
+    r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:/\d+)?i?)|(?P<name>[A-Za-z_]+)"
     r"|(?P<op>[()+\-*^,:'])|(?P<bad>\S))"
 )
 _IMAGINARY_UNIT = Scalar(0, 1)
@@ -115,22 +108,16 @@ def _read(pos, fn, *args):
 
 def _tokenize(text):
     """(kind, value, offset) tokens, then ("end", None, len(text)); the
-    value of a "num" or "imag" (ending in "i") token is its Scalar."""
+    value of a "num" or "imag" (ending in "i") token is its Scalar, read
+    by parse_scalar."""
     toks = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        pos = m.start(kind)
-        if kind == "ratio":
-            p, q, i = m.group("p", "q", "i")
-            a, d = _read(pos, _digit_ratio, p, q)
-            toks.append(("imag", _mk(0, a, d), pos) if i else ("num", _mk(a, 0, d), pos))
-            continue
         word = m.group(kind)
+        pos = m.start(kind)
         if kind == "num":
-            if word[-1] == "i":
-                toks.append(("imag", _read(pos, Scalar, 0, word[:-1]), pos))
-            else:
-                toks.append(("num", _read(pos, Scalar, word), pos))
+            kind = "imag" if word[-1] == "i" else "num"
+            toks.append((kind, _read(pos, parse_scalar, word), pos))
         elif kind == "name":
             toks.append(("imag", _IMAGINARY_UNIT, pos) if word == "i" else ("name", word, pos))
         elif kind == "op":
@@ -184,24 +171,28 @@ class _Parser:
 
     def term(self, sign):
         """sign times a product of atoms.  Its constant factors multiply
-        into one Scalar c, applied by one scale; the term is a Scalar when
-        every factor is constant.  A zero factor zeroes the product where
-        it stands, as star would, so no later star can fail."""
-        c, out = Scalar(sign), None
+        into one Scalar c, which takes the sign last and is applied by one
+        scale; the term is a Scalar when every factor is constant.  A zero
+        factor zeroes the product where it stands, as star would, so no
+        later star can fail, and the zero keeps the regularity index of
+        the factors before it."""
+        c = out = None
         while True:
             a = self.atom()
             if type(a) is Scalar:
-                c = c * a
+                c = a if c is None else c * a
                 if not c:
-                    out, c = zero(0 if out is None else out.n), Scalar(1)
+                    out, c, sign = zero(0 if out is None else out.n), None, 1
             else:
                 out = a if out is None else _read(pos, star, out, a)
             if self.peek()[0] != "*":
                 break
             pos = self.next()[2]
+        if sign < 0:
+            c = Scalar(-1) if c is None else -c
         if out is None:
             return c
-        return out if c == 1 else scale(c, out)
+        return out if c is None or c == 1 else scale(c, out)
 
     def atom(self):
         tok = self.peek()
@@ -290,9 +281,11 @@ class _Parser:
 
     def int_value(self):
         tok = self.next()
-        if tok[0] != "num" or tok[1]._d != 1:
-            self.fail(tok, {"nonnegative integer"})
-        return tok[1]._a
+        if tok[0] == "num":
+            p, q = tok[1].as_integer_ratio()
+            if q == 1:
+                return p
+        self.fail(tok, {"nonnegative integer"})
 
     # -- polynomials -------------------------------------------------------
 
@@ -550,11 +543,11 @@ class _Records:
 
 
 def _natural(word):
-    """The int that word writes in ASCII digits (read by Scalar, which
-    names the digit limit past it)."""
+    """The int that word writes in ASCII digits (read by parse_scalar,
+    which names the digit limit past it)."""
     if not (word.isascii() and word.isdigit()):
         raise ValueError("%r is not a nonnegative integer" % word)
-    return Scalar(word)._a
+    return parse_scalar(word).as_integer_ratio()[0]
 
 
 def _scalar_list(vals, off):

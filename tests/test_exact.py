@@ -99,8 +99,8 @@ def _by_fraction(text):
     "+0", "-0", "+6/4", "-007/0014", "0/5", "-0/3", "000", "10/100", "0.50",
 ])
 def test_frac_reads_ratio_text_like_fraction(text):
-    # Scalar reads "p" and "p/q" into ints and the rest with Fraction's
-    # text parser: either way the value, or the error, is Fraction's
+    # Scalar reads text with Fraction's parser: the value, or the error,
+    # is Fraction's, with the error in Scalar's words
     try:
         want = _by_fraction(text)
     except ValueError as exc:

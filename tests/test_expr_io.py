@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import deltastar
 from deltastar import (
+    AlgebraError,
     Poly,
     Scalar,
     add,
@@ -32,6 +33,7 @@ from deltastar.expr_io import (
     parse_poly,
 )
 from deltastar import schrodinger as s
+from deltastar.boundary_ops import SidedDelta
 from helpers import rand_dist, rand_scalar, reference_tokens
 
 
@@ -70,6 +72,12 @@ def test_zero_factor_zeroes_the_product_where_it_stands():
     assert info.value.pos == 15  # the first "*"
     # the regularity index of a zeroed product is that of its factors
     assert parse_dist("delta'(0)*0").n == parse_dist("0*delta^2(0)").n - 1 == 1
+    # a term's sign applies once, after its factors, and a zero drops it
+    for text, want in (("-0*delta(0)", zero()), ("-delta(0)*0", zero()),
+                       ("-delta'(0)*0", zero(1)), ("-(2)*3*delta(0)", delta_dist(0, 0, -6)),
+                       ("-(2)*3", constant(-6)), ("-1*delta(0)", delta_dist(0, 0, -1))):
+        got = parse_dist(text)
+        assert got == want and got.n == want.n, text
     assert parse_dist("D(3*(1 - 1/3*3))").is_zero
 
 
@@ -444,22 +452,42 @@ def test_codec_rejects_malformed_records():
 
 
 def test_decode_reads_words_token_does_not_write():
-    # in a piece, a delta coefficient and a record field alike, the value
-    # of a scalar word is parse_scalar's, and a word it refuses is an
-    # ExprError at the offset of its line
+    # in a piece, a delta coefficient, a record field, a breakpoint and a
+    # delta point alike, the value of a scalar word is parse_scalar's, and
+    # a word it refuses is an ExprError at the offset of its line; a point
+    # must be real besides.  heaviside, delta_dist and SidedDelta read a
+    # point from text as decode does
     records = (
         ("dist\nn 0\nbreakpoints\npiece 1 %s\nend\n", lambda F: F.pieces[0].coeffs[1], 21),
         ("dist\nn 0\nbreakpoints 0\npiece\npiece\ndelta 0 0 %s\nend\n",
          lambda F: F.deltas[0].coeff, 35),
         ("opspec potential\nc1 1\nc2 %s\nb1 0\nb2 0\nend\n", lambda spec: spec.c2, 22),
     )
+    points = (
+        ("dist\nn 0\nbreakpoints %s\npiece\npiece 1\nend\n", lambda F: F.breakpoints[0], 9),
+        ("dist\nn 0\nbreakpoints\npiece\ndelta %s 0 1\nend\n", lambda F: F.deltas[0].point, 27),
+    )
+    builders = (lambda x: heaviside(x).breakpoints[0], lambda x: delta_dist(x).deltas[0].point,
+                lambda x: SidedDelta("left", 0, x).point)
     half = Fraction(1, 2)
     for word, want in (("-6/4", Scalar(-3 * half)), ("2/4+0/3i", Scalar(half)),
                        ("0.5", Scalar(half)), ("1e-3", Scalar(Fraction(1, 1000))),
                        ("+3", Scalar(3)), ("007/0010i", Scalar(0, Fraction(7, 10)))):
         assert parse_scalar(word) == want, word
-        for text, read, _ in records:
+        for text, read, _ in records + (points if want.is_real else ()):
             assert read(decode(text % word)) == want, (word, text)
+        for build in builders if want.is_real else ():
+            assert build(word) == want, word
+    for word, message in (("1i", "point 1i is not real"),
+                          ("007/0010i", "point 7/10i is not real")):
+        for text, _, pos in points:
+            with pytest.raises(ExprError) as info:
+                decode(text % word)
+            assert (str(info.value), info.value.pos) == (
+                "%s at offset %d" % (message, pos), pos), (word, text)
+        for build in builders:
+            with pytest.raises(AlgebraError, match="^%s$" % message):
+                build(word)
     for word, message in (
         ("1/0", "zero denominator in '1/0'"),
         ("1/0i", "zero denominator in '1/0'"),
@@ -467,10 +495,11 @@ def test_decode_reads_words_token_does_not_write():
         ("1.5/2", "malformed number '1.5/2'"),
         ("7" * 5000 + "/3", "number has more than 4300 digits"),
     ):
-        with pytest.raises(ValueError) as info:
-            parse_scalar(word)
-        assert str(info.value) == message
-        for text, _, pos in records:
+        for read in (parse_scalar,) + builders:
+            with pytest.raises(ValueError) as info:
+                read(word)
+            assert str(info.value) == message
+        for text, _, pos in records + points:
             with pytest.raises(ExprError) as info:
                 decode(text % word)
             assert (str(info.value), info.value.pos) == (
