@@ -284,7 +284,9 @@ def classify(spec):
     if not bc.self_adjoint:
         return NotSelfAdjoint(bc)
     m01, m02, m03, m12, m13, m23 = minors(bc)
-    if not (m02 or m13):
+    # self-adjoint rows have m02 = scale * conj(m13), scale != 0
+    # (_lagrangian), so m02 = 0 exactly when m13 = 0
+    if not m02:
         # rows (p, 0, r, 0) and (0, q, 0, s) up to scale; each side is
         # r psi' = -p psi or s psi' = -q psi, read off two of the minors
         left = (-m12, -m01) if m12 or m01 else (m23, -m03)

@@ -22,6 +22,7 @@ from deltastar.schrodinger import (
     PseudoPotential,
     classify,
 )
+from make_cli_corpus import run_fresh
 
 
 def run(capsys, *argv):
@@ -615,29 +616,50 @@ def test_readme_examples(capsys):
         assert (got[:len(shown)] if cut else got) == shown, argv
 
 
-def test_cli_corpus_bytes():
-    # tests/data/cli_corpus.jsonl holds the exit code, stdout and stderr of
-    # 480 seeded inputs, each recorded from a fresh process by
-    # tests/make_cli_corpus.py; replayed here in one process, every byte
-    # must match
-    path = os.path.join(os.path.dirname(__file__), "data", "cli_corpus.jsonl")
-    with open(path, encoding="utf-8") as fh:
-        entries = [json.loads(line) for line in fh]
-    assert len(entries) == 480
-    changed = []
-    for entry in entries:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                rc = main(entry["argv"])
-            except SystemExit as exc:  # argparse's usage errors
-                rc = exc.code
-        got = {"argv": entry["argv"], "exit": rc,
-               "stdout": out.getvalue(), "stderr": err.getvalue()}
-        if got != entry:
-            changed.append((entry, got))
-    assert not changed, "%d of 480 entries changed; the first:\n%r\nnow:\n%r" % (
-        len(changed), *changed[0])
+def _replay(name, run, keep=lambda entry: True):
+    """Replays the entries of tests/data/<name> that keep selects through
+    run, which returns each entry as it reads now; every byte must match.
+    Both files are recorded by tests/make_cli_corpus.py."""
+    with open(os.path.join(os.path.dirname(__file__), "data", name),
+              encoding="utf-8") as fh:
+        entries = [e for e in map(json.loads, fh) if keep(e)]
+    changed = [(e, got) for e, got in zip(entries, map(run, entries)) if got != e]
+    assert not changed, "%d of %d entries changed; the first:\n%r\nnow:\n%r" % (
+        len(changed), len(entries), *changed[0])
+    return entries
+
+
+def _run_in_process(entry):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(entry["argv"])
+        except SystemExit as exc:  # argparse's usage errors
+            rc = exc.code
+    return dict(entry, exit=rc, stdout=out.getvalue(), stderr=err.getvalue())
+
+
+def test_cli_corpus_bytes(monkeypatch):
+    # 480 seeded inputs, replayed in one process; argparse wraps its usage
+    # lines to the terminal width, and they were recorded at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    assert len(_replay("cli_corpus.jsonl", _run_in_process)) == 480
+
+
+def test_cli_pins_without_numpy():
+    # hand-picked commands, each a fresh process within 10 s, with numpy
+    # and scipy blocked: only spectrum --grid needs them
+    assert len(_replay("cli_pins.jsonl", run_fresh,
+                       lambda pin: not pin["numpy"])) == 41
+
+
+def test_cli_pins_with_numpy():
+    # the grid's energies to the byte: LAPACK's bisection range moves the
+    # last ~4 printed digits with --levels
+    pytest.importorskip("numpy")
+    pytest.importorskip("scipy")
+    assert len(_replay("cli_pins.jsonl", run_fresh,
+                       lambda pin: pin["numpy"])) == 5
 
 
 def test_weaklimit_table(capsys):

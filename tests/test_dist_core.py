@@ -20,6 +20,7 @@ from deltastar import (
     RegularityError,
     Scalar,
     add,
+    canonicalize,
     constant,
     delta_dist,
     delta_times_smooth,
@@ -98,6 +99,29 @@ def test_add_and_scale_linear():
         assert add(F, G) == add(G, F)
         assert scale(2, add(F, G)) == add(scale(2, F), scale(2, G))
         assert add(F, scale(-1, F)).is_zero
+
+
+def test_operators_are_add_scale_and_star():
+    rng = random.Random(203)
+    for _ in range(60):
+        F, G = rand_dist(rng), rand_dist(rng)
+        c = rand_scalar(rng)
+        assert F - G == add(F, scale(-1, G))
+        assert -F == scale(-1, F)
+        assert c * F == F * c == scale(c, F)
+        assert F * G == star(F, G)
+        assert canonicalize(F.n, F.breakpoints, F.pieces, F.deltas) == F
+    for bad in (lambda: F - 1, lambda: F * 0.5):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_constructor_refuses_disordered_breakpoints_and_missing_pieces():
+    for pts in ([1, 0], [0, 0]):
+        with pytest.raises(AlgebraError, match="breakpoints must be strictly increasing"):
+            PiecewiseDist(0, pts)
+    with pytest.raises(AlgebraError, match="need 3 pieces for 2 breakpoints, got 2"):
+        PiecewiseDist(0, [0, 1], [Poly([1]), Poly([2])])
 
 
 def test_scale_and_reindex_give_canonical_results():

@@ -552,6 +552,16 @@ def test_bound_states_where_the_float_formula_misrounded():
         assert all(map(correctly_rounded, want, exact_bound_energies(spec)))
 
 
+def test_rounding_a_surd_within_2_to_the_minus_400_of_a_midpoint():
+    # -(2^147 + sqrt(4^200 + 1)) / 2^200 = -(1 + 2^-53) - ~2^-401: 64 guard
+    # bits bracket it by the midpoint itself, which ties to even at -1.0,
+    # and by the next integer, so _rounded doubles them to 256
+    n, c = 4 ** 200 + 1, 1 << 200
+    x = numerics._rounded(-(1 << 147), -1, n, c)
+    assert x == -(1 + 2.0 ** -52)
+    assert correctly_rounded(x, (Fraction(-(1 << 147), c), Fraction(-1, c), n))
+
+
 # -- the determinant, property-based ------------------------------------------------
 
 _PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -293,6 +293,9 @@ def test_interacting_round_trip_opposite_sign():
         if b1 == 1 or b1 == -1:
             continue
         assert classify(fam.spec(b1=b1)) == InteractingSA(0, 0, c)
+    for b1 in (1, -1):
+        with pytest.raises(PreconditionError, match="leaves the family"):
+            fam.spec(b1=b1)
 
 
 def test_interacting_pseudo_fallbacks():
@@ -352,8 +355,10 @@ def test_separating_families():
 
 
 def test_separating_validation():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="left side condition is empty"):
         represent_separating(0, 0, 1, 1)
+    with pytest.raises(PreconditionError, match="right side condition is empty"):
+        represent_separating(1, 1, 0, 0)
     with pytest.raises(PreconditionError):
         represent_separating(1, "1i", 1, 1)
     with pytest.raises(PreconditionError):
@@ -443,6 +448,11 @@ def test_neumann_neumann_no_go():
     assert cert.det == 1
     pseudo = represent_from_bc([0, 0, 1, 0], [0, 0, 0, 1])
     assert extract_bc(pseudo).row_equivalent(nn)
+    # the derivative block [[1, 2], [3, 4]] of the reduced rows, whose
+    # off-diagonal product fixes the determinant's sign
+    ok, cert = check_potential_representable_B3_zero(BCMatrix([[1, 0, 1, 2], [0, 1, 3, 4]]))
+    assert ok is False
+    assert cert.derivative_block == ((1, 2), (3, 4)) and cert.det == -2
 
 
 def test_representable_when_derivative_block_degenerates():
